@@ -446,21 +446,20 @@ def type_two_rescale(traj, window):
             a, _ = chebyshev_center_axis(np.cos(ang), h)
             new_body = body.with_values(h - a * np.cos(ang))
             shift = a
-        tau = L_k * L_k * (ts[i] - t_k)
-        new_slice = TimeSlice(tau if tau != 0.0 else 0.0, new_body, shift)
         # curvature is translation invariant: transplant the base field
         # exactly instead of re-differencing the shifted support values.
         fld = curvature_field(sl)
-        lam = fld.lambdas / L_k
         rolled = (lambda a: np.roll(a, roll, axis=0)) if roll else (lambda a: a)
-        new_slice._cache["curvature"] = type(fld)(
-            n=fld.n, lambdas=rolled(lam), H=rolled(fld.H / L_k),
+        new_body._cache["curvature"] = type(fld)(
+            n=fld.n, lambdas=rolled(fld.lambdas / L_k), H=rolled(fld.H / L_k),
             A2=rolled(fld.A2 / L_k ** 2),
             grad_H2=rolled(fld.grad_H2 / L_k ** 4),
             grad_A2=rolled(fld.grad_A2 / L_k ** 4),
             dmu=rolled(fld.dmu * L_k ** traj.n),
-            nu=rolled(new_body.normals()) if not roll else new_body.normals())
-        out.append(new_slice)
+            nu=new_body.normals(),
+            kappa_profile=rolled(fld.kappa_profile / L_k))
+        tau = L_k * L_k * (ts[i] - t_k)
+        out.append(TimeSlice(tau if tau != 0.0 else 0.0, new_body, shift))
     # tau times of a rescaled ancient flow are strictly increasing already
     return RescaledFlow(slices=out, t_k=t_k, L_k=L_k, p_index=j_k,
                         marked_index=marked_index, marked_theta=marked_theta,

@@ -141,7 +141,13 @@ class _TrigInterp:
 
 @dataclass(eq=False)
 class SupportProfile:
-    """Sampled support function of a convex body; see module docstring."""
+    """Sampled support function of a convex body; see module docstring.
+
+    Treated as immutable: values derived from ``h`` (interpolant, boundary
+    points, ``geometry.measure``, ``diagnostics.curvature_field``) are cached
+    in ``_cache`` on first use.  To change ``h``, build a new body
+    (``with_values``) instead of editing it in place.
+    """
 
     mode: str
     n: int

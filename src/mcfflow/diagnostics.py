@@ -83,25 +83,18 @@ class CurvatureField:
         return float(np.sum(np.asarray(values) * self.dmu))
 
 
-def _slice_body(slice_or_body):
-    if isinstance(slice_or_body, TimeSlice):
-        return slice_or_body.body, slice_or_body._cache
-    return slice_or_body, None
-
-
 def curvature_field(slice_or_body):
-    """CurvatureField of a TimeSlice (cached on the slice) or a bare body."""
-    body, cache = _slice_body(slice_or_body)
-    if cache is not None and "curvature" in cache:
-        return cache["curvature"]
+    """CurvatureField of a TimeSlice or a bare body, cached on the body.
+
+    Cap fields are O(1) and are not cached.
+    """
+    body = slice_or_body.body if isinstance(slice_or_body, TimeSlice) else slice_or_body
     if isinstance(body, CapState):
-        field = _cap_field(body)
-    elif body.mode == MODE_CURVE:
-        field = _curve_field(body)
-    else:
-        field = _axisym_field(body)
-    if cache is not None:
-        cache["curvature"] = field
+        return _cap_field(body)
+    field = body._cache.get("curvature")
+    if field is None:
+        field = _curve_field(body) if body.mode == MODE_CURVE else _axisym_field(body)
+        body._cache["curvature"] = field
     return field
 
 

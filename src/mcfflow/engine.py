@@ -71,7 +71,7 @@ class FlowControls:
 
 @dataclass(eq=False)
 class TimeSlice:
-    """One geometry at one time, with a cache for derived curvature fields.
+    """One geometry at one time.
 
     ``shift`` maps the stored (recentered) frame back to the run frame:
     h_run(nu) = h_stored(nu) + <shift, nu>.
@@ -79,7 +79,6 @@ class TimeSlice:
     t: float
     body: object  # SupportProfile | CapState
     shift: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(eq=False)

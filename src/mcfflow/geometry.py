@@ -64,22 +64,79 @@ def _direction_angle(body, direction):
     return math.atan2(float(np.linalg.norm(v[1:])), float(v[0]))
 
 
+def _search_grid(body):
+    """Directions searched for width and chord extrema: the curve's sample
+    angles, or 2N+1 meridian angles on [0, pi/2] for an axisym body."""
+    if body.mode == MODE_CURVE:
+        return body.angles()
+    return np.linspace(0.0, math.pi / 2.0, 2 * body.N + 1)
+
+
+def _antipodal_angle(body, t):
+    """Normal angle of -nu (curve), or of its mirror image in the meridian
+    plane (axisym, where h is even about the axis)."""
+    return t + math.pi if body.mode == MODE_CURVE else math.pi - t
+
+
+def _width_fn(body):
+    """Width h(nu) + h(-nu) as a function of the normal angle (scalar or array)."""
+    interp = body.interpolator()
+    return lambda t: interp(t) + interp(_antipodal_angle(body, t))
+
+
 def width(body, direction):
     """Width h(nu) + h(-nu) in one direction (interpolated)."""
-    ang = _direction_angle(body, direction)
-    interp = body.interpolator()
-    if body.mode == MODE_CURVE:
-        return float(interp(ang) + interp(ang + math.pi))
-    return float(interp(ang) + interp(math.pi - ang))
+    return float(_width_fn(body)(_direction_angle(body, direction)))
 
 
-def _refine_extremum(fn, center, halfwidth, minimize=True):
-    sign = 1.0 if minimize else -1.0
-    res = optimize.minimize_scalar(lambda t: sign * fn(t),
-                                   bounds=(center - halfwidth, center + halfwidth),
-                                   method="bounded",
-                                   options={"xatol": 1e-13})
-    return sign * float(res.fun)
+_ROUND_RTOL = 1e-12  # grid values this close to the best are rounding-level ties
+_MAX_TIES = 8        # more ties than this: the body is round to rounding
+
+
+def _extremum(body, fn, vals, sign):
+    """(value, angle) of the minimum of sign * fn over all directions.
+
+    vals holds fn on the search grid.  The best grid point, ranked by the
+    scalar fn among its rounding-level ties (vals may differ from fn in the
+    last bits), is refined by a bounded search one grid step either side.
+    So is every other grid local extremum that lies within its own grid
+    step's variation (the larger difference to a neighbour) of the best: two
+    nearly tied humps can swap order once refined, and refining a hump gains
+    at most a quarter of that variation on a quadratic.
+    """
+    grid = _search_grid(body)
+    v = sign * vals
+    best = float(np.min(v))
+    ties = np.flatnonzero(v <= best + _ROUND_RTOL * abs(best))
+    if len(ties) > _MAX_TIES:
+        starts = [int(np.argmin(v))]  # round body: any tie will do
+    else:
+        starts = [int(ties[np.argmin([sign * fn(grid[i]) for i in ties])])]
+        # neighbours: the curve grid is periodic; on [0, pi/2] widths and
+        # chords are even about both ends
+        e = (np.concatenate([v[-1:], v, v[:1]]) if body.mode == MODE_CURVE
+             else np.concatenate([v[1:2], v, v[-2:-1]]))
+        lo, hi = np.minimum(e[:-2], e[2:]), np.maximum(e[:-2], e[2:])
+        humps = (v <= lo) & (v - (hi - v) <= best)
+        humps[ties] = False
+        starts += np.flatnonzero(humps).tolist()
+    step = grid[1] - grid[0]
+    f = lambda t: sign * fn(t)
+    found = []
+    for i in starts:
+        t = grid[i]
+        res = optimize.minimize_scalar(f, bounds=(t - step, t + step), method="bounded",
+                                       options={"xatol": 1e-13})
+        found += [(float(res.fun), float(res.x)), (f(t), float(t))]
+    value, angle = min(found)
+    return sign * value, angle
+
+
+def _width_extrema(body):
+    """((w_minus, its angle), (w_plus, its angle))."""
+    w = _width_fn(body)
+    vals = w(_search_grid(body))
+    return _extremum(body, w, vals, 1.0), _extremum(body, w, vals, -1.0)
 
 
 def min_max_width(body):
@@ -88,41 +145,43 @@ def min_max_width(body):
     Axisymmetric bodies reduce to a search over the meridian angle in
     [0, pi/2] (phi = pi/2 is the equatorial direction).
     """
-    interp = body.interpolator()
-    if body.mode == MODE_CURVE:
-        grid = body.angles()
-        w = lambda t: interp(t) + interp(t + math.pi)
-    else:
-        grid = np.linspace(0.0, math.pi / 2.0, 2 * body.N + 1)
-        w = lambda t: interp(t) + interp(math.pi - t)
-    vals = np.array([w(t) for t in grid])
-    step = grid[1] - grid[0]
-    lo = _refine_extremum(w, grid[int(np.argmin(vals))], step, minimize=True)
-    hi = _refine_extremum(w, grid[int(np.argmax(vals))], step, minimize=False)
-    return min(lo, float(np.min(vals))), max(hi, float(np.max(vals)))
+    (w_minus, _), (w_plus, _) = _width_extrema(body)
+    return w_minus, w_plus
+
+
+def _chord(mode, h1, h2, d1, d2, t, s, xp):
+    """Distance between the contact points of the normal angles t and s, from
+    their support values h and derivatives d; xp is math (scalars) or numpy."""
+    if mode == MODE_CURVE:
+        # chord = w * nu + w' * nu_perp in the frame of nu
+        return xp.hypot(h1 + h2, d1 + d2)
+    x1 = h1 * xp.cos(t) - d1 * xp.sin(t)
+    r1 = h1 * xp.sin(t) + d1 * xp.cos(t)
+    x2 = h2 * xp.cos(s) - d2 * xp.sin(s)
+    r2 = h2 * xp.sin(s) + d2 * xp.cos(s)
+    return xp.hypot(x1 - x2, r1 + r2)
 
 
 def _antipodal_chord(body):
     """Length of the chord between the contact points of nu and -nu."""
     interp = body.interpolator()
-    if body.mode == MODE_CURVE:
-        def chord(t):
-            h1, h2 = interp(t), interp(t + math.pi)
-            d1, d2 = interp.derivative(t), interp.derivative(t + math.pi)
-            # chord = w * nu + w' * nu_perp in the frame of nu
-            return math.hypot(h1 + h2, d1 + d2)
-        return chord
 
     def chord(t):
-        s = math.pi - t
-        h1, h2 = interp(t), interp(s)
-        d1, d2 = interp.derivative(t), interp.derivative(s)
-        x1 = h1 * math.cos(t) - d1 * math.sin(t)
-        r1 = h1 * math.sin(t) + d1 * math.cos(t)
-        x2 = h2 * math.cos(s) - d2 * math.sin(s)
-        r2 = h2 * math.sin(s) + d2 * math.cos(s)
-        return math.hypot(x1 - x2, r1 + r2)
+        s = _antipodal_angle(body, t)
+        return _chord(body.mode, interp(t), interp(s), interp.derivative(t),
+                      interp.derivative(s), t, s, math)
     return chord
+
+
+def _chord_grid(body, t):
+    """_antipodal_chord at every angle of the array t, from one array call of
+    the interpolant and one of its derivative."""
+    interp = body.interpolator()
+    s = _antipodal_angle(body, t)
+    both = np.concatenate([t, s])
+    h, d = interp(both), interp.derivative(both)
+    m = len(t)
+    return _chord(body.mode, h[:m], h[m:], d[:m], d[m:], t, s, np)
 
 
 def diameter(body):
@@ -131,15 +190,8 @@ def diameter(body):
     Independent of :func:`min_max_width`; for a convex body the two agree
     (the maximal chord joins contact points with antiparallel normals).
     """
-    chord = _antipodal_chord(body)
-    if body.mode == MODE_CURVE:
-        grid = body.angles()
-    else:
-        grid = np.linspace(0.0, math.pi / 2.0, 2 * body.N + 1)
-    vals = np.array([chord(t) for t in grid])
-    step = grid[1] - grid[0] if len(grid) > 1 else 1e-2
-    best = _refine_extremum(chord, grid[int(np.argmax(vals))], step, minimize=False)
-    return max(best, float(np.max(vals)))
+    vals = _chord_grid(body, _search_grid(body))
+    return _extremum(body, _antipodal_chord(body), vals, -1.0)[0]
 
 
 def outer_radius(body):
@@ -307,67 +359,51 @@ class ShadowFacts:
 
 def shadow_measurements(body):
     """Shadow facts used by projection inequalities (n=1 and axisym n=2)."""
-    w_minus, w_plus = min_max_width(body)
+    if body.mode == MODE_AXISYM and body.n != 2:
+        raise ValueError("shadow facts implemented for n = 1 and axisym n = 2")
+    (w_minus, t0), (w_plus, _) = _width_extrema(body)
     interp = body.interpolator()
     if body.mode == MODE_CURVE:
-        # locate the minimal-width direction, then project onto its normal line
-        grid = body.angles()
-        w = lambda t: interp(t) + interp(t + math.pi)
-        vals = np.array([w(t) for t in grid])
-        res = optimize.minimize_scalar(w, bounds=(grid[int(np.argmin(vals))] - body.step,
-                                                  grid[int(np.argmin(vals))] + body.step),
-                                       method="bounded", options={"xatol": 1e-13})
-        t0 = float(res.x)
+        # project onto the normal line of the minimal-width direction
         length = interp(t0 + math.pi / 2.0) + interp(t0 - math.pi / 2.0)
         return ShadowFacts(area=float(length), diam=float(length),
                            w_minus=w_minus, w_plus=w_plus)
-    if body.n != 2:
-        raise ValueError("shadow facts implemented for n = 1 and axisym n = 2")
-    grid = np.linspace(0.0, math.pi / 2.0, 2 * body.N + 1)
-    w = lambda t: interp(t) + interp(math.pi - t)
-    vals = np.array([w(t) for t in grid])
-    i0 = int(np.argmin(vals))
-    lo = max(0.0, grid[i0] - (grid[1] - grid[0]))
-    hi = min(math.pi / 2.0, grid[i0] + (grid[1] - grid[0]))
-    res = optimize.minimize_scalar(w, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-13})
-    t0 = float(res.x)
-    phi = body.angles()
-    hp = interp.derivative(phi)
-    x = body.h * np.cos(phi) - hp * np.sin(phi)
-    r = np.maximum(body.h * np.sin(phi) + hp * np.cos(phi), 0.0)
     if t0 < math.pi / 4.0:
         # min width along the axis: shadow is the disk swept by the largest orbit
-        rmax = float(np.max(r))
+        phi = body.angles()
+        hp = interp.derivative(phi)
+        rmax = float(np.max(body.h * np.sin(phi) + hp * np.cos(phi)))
         return ShadowFacts(area=math.pi * rmax * rmax, diam=2.0 * rmax,
                            w_minus=w_minus, w_plus=w_plus)
     # min width equatorial: shadow is the planar profile region
-    dtheta = body.step
     rho = body.curvature_radius()
-    profile_area = float(np.sum(body.h * rho) * dtheta)  # full period of the even profile * 1/2
-    chord = _antipodal_chord(body)
-    grid2 = np.linspace(0.0, math.pi / 2.0, 2 * body.N + 1)
-    dvals = np.array([chord(t) for t in grid2])
-    diam_profile = float(np.max(dvals))
+    profile_area = float(np.sum(body.h * rho) * body.step)  # full period of the even profile * 1/2
+    diam_profile = float(np.max(_chord_grid(body, _search_grid(body))))
     return ShadowFacts(area=profile_area, diam=diam_profile,
                        w_minus=w_minus, w_plus=w_plus)
 
 
 def measure(body):
-    """All standard measurements of one body as a BodyMeasurements record."""
+    """All standard measurements of one body as a BodyMeasurements record.
+
+    Computed once per body and cached on it (see SupportProfile).
+    """
     if isinstance(body, CapState):
         raise TypeError("cap slices are measured in the ambient sphere; "
                         "Euclidean body measurements do not apply")
-    w_minus, w_plus = min_max_width(body)
-    diam = diameter(body)
-    diam_i = intrinsic_diameter(body)
-    area, vol = area_and_volume(body)
-    return BodyMeasurements(
-        w_minus=w_minus, w_plus=w_plus, diam=diam, diam_I=diam_i,
-        rho_minus=inner_radius(body), rho_plus=outer_radius(body),
-        area=area, volume=vol,
-        iso_ratio=area ** (body.n + 1) / vol ** body.n,
-    )
+    m = body._cache.get("measure")
+    if m is None:
+        w_minus, w_plus = min_max_width(body)
+        diam = diameter(body)
+        diam_i = intrinsic_diameter(body)
+        area, vol = area_and_volume(body)
+        m = body._cache["measure"] = BodyMeasurements(
+            w_minus=w_minus, w_plus=w_plus, diam=diam, diam_I=diam_i,
+            rho_minus=inner_radius(body), rho_plus=outer_radius(body),
+            area=area, volume=vol,
+            iso_ratio=area ** (body.n + 1) / vol ** body.n,
+        )
+    return m
 
 
 def hausdorff_distance(body_a, body_b, recenter=True):

@@ -16,40 +16,30 @@ class InfeasibleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Seidel-style randomized incremental LP, dimensions 1..3.
+# Seidel-style randomized incremental LP, dimensions 1..3 (Seidel 1991).
 #
 # minimize c.x  subject to  A x <= b  and  lo <= x <= hi  (componentwise).
-# Expected O(d! m) for m constraints; m <= 4096 here, so this is instant.
+# Expected O(d! m) for m constraints; m <= 4096 here.  The constraints are
+# taken in a seeded random order.  One array comparison finds the next one
+# the current optimum violates (NaN counts as violated); the prefix before
+# it is then reduced onto its hyperplane with array operations, and the
+# 1-d base case is a masked min/max.  The arithmetic is the same, element
+# by element, as a scalar loop over the constraints.
 # ---------------------------------------------------------------------------
 
 def _lp_1d(A, b, c, lo, hi, tol):
-    for a, bb in zip(A, b):
-        a = a[0]
-        if abs(a) <= tol * 1e-4:
-            if bb < -tol:
-                raise InfeasibleError("contradictory constant constraint")
-            continue
-        x = bb / a
-        if a > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
+    a = A[:, 0]
+    null = np.abs(a) <= tol * 1e-4
+    if (b[null] < -tol).any():
+        raise InfeasibleError("contradictory constant constraint")
+    x = b / np.where(null, 1.0, a)
+    # fmin/fmax skip NaN bounds, as the scalar min/max did
+    hi = float(np.fmin.reduce(x[~null & (a > 0.0)], initial=hi))
+    lo = float(np.fmax.reduce(x[~null & ~(a > 0.0)], initial=lo))
     if lo > hi + tol:
         raise InfeasibleError("empty interval")
     hi = max(hi, lo)
     return np.array([lo if c[0] >= 0.0 else hi])
-
-
-def solve_lp(A, b, c, lo, hi, rng):
-    """Solve min c.x, A x <= b, lo <= x <= hi for 1 <= dim <= 3 unknowns."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0,
-                float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    return _seidel(A, b, c, lo, hi, rng, 1e-9 * scale)
 
 
 def _seidel(A, b, c, lo, hi, rng, tol):
@@ -63,11 +53,15 @@ def _seidel(A, b, c, lo, hi, rng, tol):
         b = b[order]
     # start at the box corner optimal for the unconstrained problem
     x = np.where(c > 0.0, lo, hi).astype(float)
-    for i in range(m):
+    i = 0
+    while i < m:
+        violated = ~(A[i:] @ x <= b[i:] + tol)
+        j = int(violated.argmax())
+        if not violated[j]:
+            break
+        i += j
         ai = A[i]
         bi = b[i]
-        if float(ai @ x) <= bi + tol:
-            continue
         # optimum of the prefix lies on this hyperplane; eliminate one variable
         k = int(np.argmax(np.abs(ai)))
         aik = ai[k]
@@ -75,21 +69,21 @@ def _seidel(A, b, c, lo, hi, rng, tol):
             raise InfeasibleError("violated constraint with null gradient")
         idx = [l for l in range(d) if l != k]
         ai_idx = ai[idx]
-        rows = []
-        rhs = []
-        for j in range(i):
-            coeff = A[j][idx] - (A[j][k] / aik) * ai_idx
-            rows.append(coeff)
-            rhs.append(b[j] - (A[j][k] / aik) * bi)
+        f = A[:i, k] / aik
+        rows = np.empty((i + 2, d - 1))
+        rhs = np.empty(i + 2)
+        rows[:i] = A[:i][:, idx] - f[:, None] * ai_idx
+        rhs[:i] = b[:i] - f * bi
         # the eliminated variable keeps its box bounds as ordinary constraints
-        for s, t in ((1.0, hi[k]), (-1.0, -lo[k])):
-            rows.append(-(s / aik) * ai_idx)
-            rhs.append(t - (s / aik) * bi)
+        box = np.array([1.0, -1.0]) / aik
+        rows[i:] = -box[:, None] * ai_idx
+        rhs[i:] = np.array([hi[k], -lo[k]]) - box * bi
         c_red = c[idx] - (c[k] / aik) * ai_idx
-        y = _seidel(np.array(rows), np.array(rhs), c_red, lo[idx], hi[idx], rng, tol)
+        y = _seidel(rows, rhs, c_red, lo[idx], hi[idx], rng, tol)
         x = np.empty(d)
         x[idx] = y
         x[k] = (bi - float(ai_idx @ y)) / aik
+        i += 1
     return x
 
 

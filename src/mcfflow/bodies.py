@@ -53,22 +53,25 @@ def unit_ball_volume(dim):
 # periodic / reflected finite-difference stencils
 # ---------------------------------------------------------------------------
 
+def _wrap_pad(h, width):
+    # periodic extension: e[j] = h[j - width], indices taken mod N
+    return np.concatenate([h[-width:], h, h[:width]])
+
+
 def d2_periodic(h, dx):
-    return (np.roll(h, 1) - 2.0 * h + np.roll(h, -1)) / (dx * dx)
+    e = _wrap_pad(h, 1)
+    return (e[:-2] - 2.0 * e[1:-1] + e[2:]) / (dx * dx)
 
 
 def d1_periodic(h, dx):
-    return (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * dx)
+    e = _wrap_pad(h, 1)
+    return (e[2:] - e[:-2]) / (2.0 * dx)
 
 
 def d2_periodic4(h, dx):
-    return (-np.roll(h, 2) + 16.0 * np.roll(h, 1) - 30.0 * h
-            + 16.0 * np.roll(h, -1) - np.roll(h, -2)) / (12.0 * dx * dx)
-
-
-def d1_periodic4(h, dx):
-    return (np.roll(h, 2) - 8.0 * np.roll(h, 1)
-            + 8.0 * np.roll(h, -1) - np.roll(h, -2)) / (12.0 * dx)
+    e = _wrap_pad(h, 2)
+    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
+            + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
 
 
 def _reflect_pad(h, width):

@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import analysis, diagnostics, exact, geometry, trajio
-from .bodies import NonConvexBodyError, SupportProfile, random_convex_curve, random_convex_profile
-from .engine import (FlowControls, StepFailedError, TimeSlice, Trajectory,
-                     evolve, evolve_cap)
+from .bodies import CapState, NonConvexBodyError, random_convex_curve, random_convex_profile
+from .engine import (ConvexityLostError, FlowControls, PoleSingularityError, StepFailedError,
+                     TimeSlice, Trajectory, evolve, evolve_cap)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -116,7 +116,10 @@ def _initial_from_config(cfg, seed):
     N = cfg.get("N", 256)
     init = cfg.get("initial", {})
     if "file" in init:
-        return trajio.read_slice(init["file"]).body
+        body = trajio.read_slice(init["file"]).body
+        if isinstance(body, CapState):
+            raise ValueError("a geodesic cap snapshot cannot seed the curve or axisym engine")
+        return body
     if "family" in init:
         fam = init["family"]
         t = fam.get("t", cfg["t0"])
@@ -156,6 +159,8 @@ def _cmd_run(args):
 
 def _cmd_geom(args):
     sl = trajio.read_slice(args.body)
+    if isinstance(sl.body, CapState):
+        raise ValueError("geom measures Euclidean bodies, not a geodesic cap")
     m = geometry.measure(sl.body)
     record = {"t": sl.t, "n": sl.body.n}
     record.update(m.as_dict())
@@ -222,6 +227,8 @@ def _cmd_classify(args):
 
 def _cmd_rescale(args):
     traj = trajio.read_trajectory(args.traj)
+    if any(isinstance(sl.body, CapState) for sl in traj.slices):
+        raise ValueError("rescale applies to Euclidean flows, not a geodesic cap")
     rf = analysis.type_two_rescale(traj, args.window)
     fit = analysis.soliton_proximity(rf)
     out = Trajectory(rf.slices, traj.engine, traj.n, traj.N,
@@ -261,7 +268,8 @@ def main(argv=None):
             trajio.CorruptRecordError, FileNotFoundError) as err:
         sys.stderr.write(f"mcfflow: {err}\n")
         return EXIT_VALIDATION
-    except (StepFailedError, ArithmeticError) as err:
+    except (StepFailedError, ConvexityLostError, PoleSingularityError,
+            ArithmeticError) as err:
         sys.stderr.write(f"mcfflow: numerical abort: {err}\n")
         return EXIT_NUMERICAL
 

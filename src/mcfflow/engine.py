@@ -15,6 +15,13 @@ of -1/(h''+h) has diffusion coefficient kappa^2, so steps obey
 dt <= cfl * dtheta^2 / max kappa1^2; implicit stepping is deliberately
 avoided to keep the kernel dependency-free.
 
+An accepted step of ``evolve`` costs 4 right-hand-side (stencil)
+evaluations: RK stages 2-4 and the post-step convexity check.  That check
+evaluates the right-hand side at the new h, so it is the next step's first
+stage (first same as last), and its h'' + h gives the next step's dt bound.
+A rejected attempt leaves h, and so both, unchanged; a recentre changes h
+and re-evaluates them.
+
 Time gauge.  The flow runs in an internal clock s >= 0 and cannot know the
 extinction time in advance.  After the run the origin is re-anchored so the
 extrapolated extinction lands at t = 0: curve runs use the exact area law
@@ -33,7 +40,7 @@ from scipy.integrate import solve_ivp
 
 from . import _solvers, geometry
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile,
-                     d1_periodic4, d1_reflect4, d2_periodic4, d2_reflect4)
+                     NonConvexBodyError, d1_reflect4, d2_periodic4, d2_reflect4)
 
 
 class ConvexityLostError(RuntimeError):
@@ -49,7 +56,17 @@ class PoleSingularityError(RuntimeError):
 
 
 class StepFailedError(RuntimeError):
-    """Step retries exhausted; carries the abort diagnostics."""
+    """Step retries exhausted; carries the abort diagnostics.
+
+    ``s`` is the internal time of the failed step, ``dt`` the last step size
+    tried, ``check`` the class name of the last stage error and ``min_rho``
+    the smallest h'' + h of the state the step started from.  They are None
+    when the failure is not a rejected step.
+    """
+
+    def __init__(self, message, s=None, dt=None, check=None, min_rho=None):
+        super().__init__(message)
+        self.s, self.dt, self.check, self.min_rho = s, dt, check, min_rho
 
 
 @dataclass(frozen=True)
@@ -134,18 +151,18 @@ class Trajectory:
 
 def _curve_rhs(h, dtheta):
     rho = d2_periodic4(h, dtheta) + h
-    if np.min(rho) <= 0.0:
+    if rho.min() <= 0.0:
         raise ConvexityLostError("h'' + h <= 0 inside a stage")
     return -1.0 / rho, rho
 
 
 def _axisym_rhs(h, dphi, n, phi, sin_phi, cos_phi):
     rho = d2_reflect4(h, dphi) + h
-    if np.min(rho) <= 0.0:
+    if rho.min() <= 0.0:
         raise ConvexityLostError("h'' + h <= 0 inside a stage")
     hp = d1_reflect4(h, dphi)
     r = h * sin_phi + hp * cos_phi
-    if np.min(r[1:-1]) <= 0.0:
+    if r[1:-1].min() <= 0.0:
         raise PoleSingularityError("profile touched the axis at an interior node")
     kappa1 = 1.0 / rho
     kappa2 = np.empty_like(h)
@@ -155,34 +172,37 @@ def _axisym_rhs(h, dphi, n, phi, sin_phi, cos_phi):
     return -(kappa1 + (n - 1) * kappa2), rho
 
 
-def _rk4(h, dt, rhs):
-    k1, _ = rhs(h)
+def _rhs_for(mode, n, dtheta, angles):
+    if mode == MODE_CURVE:
+        return lambda x: _curve_rhs(x, dtheta)
+    sin_phi, cos_phi = np.sin(angles), np.cos(angles)
+    return lambda x: _axisym_rhs(x, dtheta, n, angles, sin_phi, cos_phi)
+
+
+def _rk4(h, dt, rhs, k1):
+    """RK4 step from h given k1 = rhs(h)[0]; returns (new h, rhs(new h)), the
+    latter re-verifying convexity (and axis positivity) after the step."""
     k2, _ = rhs(h + 0.5 * dt * k1)
     k3, _ = rhs(h + 0.5 * dt * k2)
     k4, _ = rhs(h + dt * k3)
-    return h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out, rhs(out)
 
 
-def _stability_dt(h, mode, dtheta, cfl):
-    if mode == MODE_CURVE:
-        rho = d2_periodic4(h, dtheta) + h
-    else:
-        rho = d2_reflect4(h, dtheta) + h
-    if np.min(rho) <= 0.0:
-        raise ConvexityLostError("cannot bound dt for a non-convex profile")
-    kmax = float(np.max(1.0 / rho))
+def _dt_bound(rho, dtheta, cfl):
+    kmax = float((1.0 / rho).max())
     return cfl * dtheta * dtheta / (kmax * kmax)
 
 
-def _step_array(h, dt, mode, n, dtheta, trig):
-    if mode == MODE_CURVE:
-        rhs = lambda x: _curve_rhs(x, dtheta)
-    else:
-        phi, sin_phi, cos_phi = trig
-        rhs = lambda x: _axisym_rhs(x, dtheta, n, phi, sin_phi, cos_phi)
-    out = _rk4(h, dt, rhs)
-    rhs(out)  # re-verify convexity (and axis positivity) after the step
-    return out
+def _curvature_radius4(h, mode, dtheta):
+    return (d2_periodic4 if mode == MODE_CURVE else d2_reflect4)(h, dtheta) + h
+
+
+def _stability_dt(h, mode, dtheta, cfl):
+    rho = _curvature_radius4(h, mode, dtheta)
+    if np.min(rho) <= 0.0:
+        raise ConvexityLostError("cannot bound dt for a non-convex profile")
+    return _dt_bound(rho, dtheta, cfl)
 
 
 def _public_step(profile, dt, cfl_for_check=0.5):
@@ -190,11 +210,8 @@ def _public_step(profile, dt, cfl_for_check=0.5):
     if dt > bound:
         raise StabilityViolationError(
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
-    trig = None
-    if profile.mode == MODE_AXISYM:
-        phi = profile.angles()
-        trig = (phi, np.sin(phi), np.cos(phi))
-    h = _step_array(profile.h, dt, profile.mode, profile.n, profile.step, trig)
+    rhs = _rhs_for(profile.mode, profile.n, profile.step, profile.angles())
+    h, _ = _rk4(profile.h, dt, rhs, rhs(profile.h)[0])
     if np.min(h) <= 0.0:
         raise ConvexityLostError("support lost positivity; body left the origin")
     return SupportProfile(profile.mode, profile.n, h)
@@ -257,13 +274,15 @@ def evolve(initial, t0, controls):
     angles = initial.angles()
     dtheta = initial.step
     # degenerate inputs failing convexity by < 1e-12 are projected upward
-    rho_min = float(np.min(d2_periodic4(h, dtheta) + h)) if mode == MODE_CURVE \
-        else float(np.min(d2_reflect4(h, dtheta) + h))
+    rho_min = float(np.min(_curvature_radius4(h, mode, dtheta)))
     if -_CONVEXITY_PROJECTION_TOL * max(1.0, np.max(h)) < rho_min <= 0.0:
         h = h + (abs(rho_min) + 1e-15 * np.max(h))
-    trig = None
-    if mode == MODE_AXISYM:
-        trig = (angles, np.sin(angles), np.cos(angles))
+    rhs = _rhs_for(mode, n, dtheta, angles)
+    try:
+        k, rho = rhs(h)  # first stage and dt bound of the first step
+    except (ConvexityLostError, PoleSingularityError) as err:
+        raise NonConvexBodyError(
+            f"initial body fails the 4-point stencil test: {err}") from None
 
     shift = _zero_shift(mode)
     s = 0.0
@@ -277,12 +296,10 @@ def evolve(initial, t0, controls):
     accepted = 0
     max_steps = 10 ** 7
     while accepted < max_steps:
-        dt = min(controls.max_dt, _stability_dt(h, mode, dtheta, controls.cfl))
-        attempt = dt
-        last_err = None
+        attempt = min(controls.max_dt, _dt_bound(rho, dtheta, controls.cfl))
         for _ in range(_MAX_RETRIES + 1):
             try:
-                h_new = _step_array(h, attempt, mode, n, dtheta, trig)
+                h, (k, rho) = _rk4(h, attempt, rhs, k)
                 break
             except (ConvexityLostError, PoleSingularityError) as err:
                 last_err = err
@@ -290,14 +307,16 @@ def evolve(initial, t0, controls):
         else:
             raise StepFailedError(
                 f"step rejected {_MAX_RETRIES} times at s = {s:.6g} "
-                f"(dt down to {attempt:.3e}): {last_err}")
-        h = h_new
+                f"(dt down to {attempt:.3e}): {last_err}",
+                s=s, dt=2.0 * attempt, check=type(last_err).__name__,
+                min_rho=float(np.min(rho)))
         s += attempt
         accepted += 1
         # keep the origin well inside the shrinking body
-        if np.min(h) < 0.25 * np.max(h):
+        if h.min() < 0.25 * h.max():
             h, extra = _recenter_array(h, mode, angles)
             shift = _add_shift(shift, extra, mode)
+            k, rho = rhs(h)
         if accepted % controls.snapshot_stride == 0:
             emit()
             if np.max(records[-1][1]) < controls.stop_rho_plus:

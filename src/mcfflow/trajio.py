@@ -181,6 +181,9 @@ def read_trajectory(path):
     if count is not None and count != len(slices):
         raise CorruptRecordError(len(lines), f"expected {count} records, "
                                  f"found {len(slices)}")
+    if not slices:
+        raise CorruptRecordError(len(lines), f"no snapshot records (file kind "
+                                 f"{header.get('kind')!r})")
     controls = header.get("controls")
     meta = {
         "engine": engine_kind,
@@ -192,7 +195,7 @@ def read_trajectory(path):
     }
     if controls:
         meta["controls"] = FlowControls(**controls)
-    n = int(header.get("n", slices[0].body.n if slices else 1))
+    n = int(header.get("n", slices[0].body.n))
     return Trajectory(slices, engine_kind if engine_kind in (MODE_CURVE, MODE_AXISYM, "cap")
                       else slices_mode(slices), n, header.get("N"), meta)
 

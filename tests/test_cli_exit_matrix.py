@@ -1,0 +1,124 @@
+"""Every subcommand on every kind of input exits 0, 2 or 3, never with a
+traceback.
+
+`cli.main` is called in-process: an exception escaping it would be a
+traceback and exit status 1 in the `mcfflow` process.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from mcfflow import bodies, cli, engine, exact, trajio
+from mcfflow.engine import TimeSlice
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("matrix")
+    paths = {k: str(d / f"{k}.jsonl") for k in
+             ("curve", "axisym", "cap", "cap_traj", "curve_traj", "report",
+              "truncated", "four_point")}
+    assert cli.main(["exact", "--family", "sphere", "--n", "1", "--t", "-1",
+                     "--resolution", "32", "--out", paths["curve"]]) == 0
+    assert cli.main(["exact", "--family", "sphere", "--n", "2", "--t", "-1",
+                     "--resolution", "32", "--out", paths["axisym"]]) == 0
+    assert cli.main(["exact", "--family", "cap", "--n", "2", "--R", "3", "--t", "-1",
+                     "--out", paths["cap"]]) == 0
+    assert cli.main(["exact", "--family", "cylinder", "--n", "3", "--k", "1", "--t", "-2",
+                     "--out", paths["report"]]) == 0
+    configs = {
+        # covers the rescaling window [-10, -1]
+        "cap_traj": {"engine": "cap", "n": 2, "t0": -12.0, "t_stop": -0.5,
+                     "controls": {"max_dt": 0.1, "snapshot_stride": 10},
+                     "cap": {"R": 3.0, "rho0": exact.cap_radius(3.0, 2, -12.0)}},
+        "curve_traj": {"engine": "curve", "n": 1, "N": 32, "t0": -1.0,
+                       "controls": {"cfl": 0.4, "max_dt": 1e-2, "stop_rho_plus": 0.3,
+                                    "snapshot_stride": 8},
+                       "initial": {"random": {"seed": 3, "amplitude": 0.3}}},
+    }
+    for name, cfg in configs.items():
+        cfg_path = d / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", paths[name]]) == 0
+    text = open(paths["curve_traj"]).read()
+    with open(paths["truncated"], "w") as f:
+        f.write(text[: 2 * len(text) // 3])
+    # the support of a rounded triangle: convex by the 3-point test that
+    # validates bodies, not by the engine's 4-point stencil
+    theta = np.arange(64) * (2.0 * math.pi / 64)
+    vertices = np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
+    h = np.max(vertices @ np.vstack([np.cos(theta), np.sin(theta)]), axis=0) + 0.05
+    trajio.write_slice(TimeSlice(-1.0, bodies.SupportProfile("curve", 1, h)),
+                       paths["four_point"])
+    for name, path in list(paths.items()):
+        for engine_kind, n in (("curve", 1), ("axisym", 2)):
+            cfg_path = d / f"run-{name}-{engine_kind}.json"
+            cfg_path.write_text(json.dumps({
+                "engine": engine_kind, "n": n, "t0": -1.0,
+                "controls": {"max_dt": 1e-2, "stop_rho_plus": 0.3, "snapshot_stride": 8},
+                "initial": {"file": path}}))
+    return d, paths
+
+
+def _argvs(d, path, name):
+    out = str(d / "out")
+    return [
+        ["run", "--config", str(d / f"run-{name}-curve.json"), "--out", out],
+        ["run", "--config", str(d / f"run-{name}-axisym.json"), "--out", out],
+        ["geom", "--body", path],
+        ["diagnose", "--traj", path, "--out", out],
+        ["classify", "--traj", path, "--out", out],
+        ["rescale", "--traj", path, "--window", "10", "--out", out,
+         "--report", str(d / "report")],
+    ]
+
+
+@pytest.mark.parametrize("name", ["curve", "axisym", "cap", "cap_traj", "curve_traj",
+                                  "report", "truncated", "four_point"])
+def test_subcommands_exit_cleanly(inputs, name, capsys):
+    d, paths = inputs
+    for argv in _argvs(d, paths[name], name):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["sphere", "oval", "cap", "cylinder", "grim-reaper"])
+@pytest.mark.parametrize("t", ["-1", "0", "1"])
+def test_exact_exits_cleanly(tmp_path, family, t, capsys):
+    code = cli.main(["exact", "--family", family, "--n", "2", "--t", t,
+                     "--resolution", "32", "--out", str(tmp_path / "x.jsonl")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cap_inputs_are_rejected_as_bad_input(inputs, capsys):
+    d, paths = inputs
+    assert cli.main(["geom", "--body", paths["cap"]]) == 2
+    assert cli.main(["rescale", "--traj", paths["cap_traj"], "--window", "10",
+                     "--out", str(d / "o"), "--report", str(d / "r")]) == 2
+    assert cli.main(["run", "--config", str(d / "run-cap-axisym.json"),
+                     "--out", str(d / "o")]) == 2
+    assert "geodesic cap" in capsys.readouterr().err
+
+
+def test_four_point_non_convex_start_is_bad_input(inputs, capsys):
+    d, _ = inputs
+    assert cli.main(["run", "--config", str(d / "run-four_point-curve.json"),
+                     "--out", str(d / "o")]) == 2
+    assert "4-point" in capsys.readouterr().err
+
+
+def test_engine_errors_map_to_numerical_abort(monkeypatch, inputs):
+    d, _ = inputs
+
+    def lose_convexity(*args):
+        raise engine.ConvexityLostError("forced")
+
+    monkeypatch.setattr(cli, "evolve", lose_convexity)
+    assert cli.main(["run", "--config", str(d / "run-curve-curve.json"),
+                     "--out", str(d / "o")]) == 3

@@ -1,0 +1,209 @@
+"""`evolve` against a copy of its pre-reuse loop, bit for bit.
+
+The copy below is the stepping loop as it was before the post-step check
+was reused as the next step's first stage: `np.roll` stencils for curves,
+six stencil evaluations per accepted step, and a fresh stability bound
+from `_stability_dt` every step.  Both loops run the same bodies with the
+same forced stage failure, and every state they recentre or emit must
+match exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mcfflow import bodies, engine
+from mcfflow.bodies import MODE_CURVE, NonConvexBodyError
+
+
+def _roll_d2_periodic4(h, dx):
+    return (-np.roll(h, 2) + 16.0 * np.roll(h, 1) - 30.0 * h
+            + 16.0 * np.roll(h, -1) - np.roll(h, -2)) / (12.0 * dx * dx)
+
+
+def _old_rhs(x, mode, n, dtheta, trig, d2):
+    rho = d2(x, dtheta) + x
+    if np.min(rho) <= 0.0:
+        raise engine.ConvexityLostError("h'' + h <= 0 inside a stage")
+    if mode == MODE_CURVE:
+        return -1.0 / rho, rho
+    phi, sin_phi, cos_phi = trig
+    hp = bodies.d1_reflect4(x, dtheta)
+    r = x * sin_phi + hp * cos_phi
+    if np.min(r[1:-1]) <= 0.0:
+        raise engine.PoleSingularityError("profile touched the axis")
+    kappa1 = 1.0 / rho
+    kappa2 = np.empty_like(x)
+    kappa2[1:-1] = sin_phi[1:-1] / r[1:-1]
+    kappa2[0] = kappa1[0]
+    kappa2[-1] = kappa1[-1]
+    return -(kappa1 + (n - 1) * kappa2), rho
+
+
+def _old_evolve(initial, controls, d2):
+    """The old loop; returns (records, accepted, recentres, retries)."""
+    mode, n = initial.mode, initial.n
+    h = np.array(initial.h, dtype=float)
+    angles = initial.angles()
+    dtheta = initial.step
+    rho_min = float(np.min(d2(h, dtheta) + h))
+    if -1e-12 * max(1.0, np.max(h)) < rho_min <= 0.0:
+        h = h + (abs(rho_min) + 1e-15 * np.max(h))
+    trig = (angles, np.sin(angles), np.cos(angles))
+    rhs = lambda x: _old_rhs(x, mode, n, dtheta, trig, d2)
+
+    def stability_dt(x):
+        rho = d2(x, dtheta) + x
+        kmax = float(np.max(1.0 / rho))
+        return controls.cfl * dtheta * dtheta / (kmax * kmax)
+
+    def step(x, dt):
+        k1, _ = rhs(x)
+        k2, _ = rhs(x + 0.5 * dt * k1)
+        k3, _ = rhs(x + 0.5 * dt * k2)
+        k4, _ = rhs(x + dt * k3)
+        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(out)
+        return out
+
+    shift = engine._zero_shift(mode)
+    s = 0.0
+    records = []
+
+    def emit():
+        hc, extra = engine._recenter_array(h, mode, angles)
+        records.append((s, hc, engine._add_shift(shift, extra, mode)))
+
+    emit()
+    accepted = recentres = retries = 0
+    while True:
+        attempt = min(controls.max_dt, stability_dt(h))
+        for _ in range(21):
+            try:
+                h_new = step(h, attempt)
+                break
+            except (engine.ConvexityLostError, engine.PoleSingularityError):
+                retries += 1
+                attempt *= 0.5
+        h = h_new
+        s += attempt
+        accepted += 1
+        if np.min(h) < 0.25 * np.max(h):
+            h, extra = engine._recenter_array(h, mode, angles)
+            shift = engine._add_shift(shift, extra, mode)
+            recentres += 1
+        if accepted % controls.snapshot_stride == 0:
+            emit()
+            if np.max(records[-1][1]) < controls.stop_rho_plus:
+                break
+    if records[-1][0] != s:
+        emit()
+    return records, accepted, recentres, retries
+
+
+class _Poison:
+    """Wraps a d2 stencil; on one given input it returns a value that makes
+    h'' + h negative, so that stage fails and the step is retried."""
+
+    def __init__(self, d2, target=None):
+        self.d2, self.target = d2, target
+        self.inputs, self.fired, self.calls = [], 0, 0
+
+    def __call__(self, h, dx):
+        self.calls += 1
+        if self.target is None:
+            self.inputs.append(h.copy())
+        elif np.array_equal(h, self.target):
+            self.fired += 1
+            return -2.0 * h - 1.0
+        return self.d2(h, dx)
+
+
+def _check_bit_identical(monkeypatch, body, controls, d2_old, d2_name):
+    # find the second-stage input of step 5 in an undisturbed run of the old loop
+    probe = _Poison(d2_old)
+    _, steps, _, retries = _old_evolve(body, controls, probe)
+    assert retries == 0 and len(probe.inputs) == 1 + 6 * steps
+    target = probe.inputs[1 + 6 * 5 + 2]
+
+    seen = []
+    recenter = engine._recenter_array
+    def recorded(h, mode, angles):
+        seen[-1].append(h.copy())
+        return recenter(h, mode, angles)
+    monkeypatch.setattr(engine, "_recenter_array", recorded)
+
+    seen.append([])
+    old_poison = _Poison(d2_old, target)
+    records, accepted, recentres, retries = _old_evolve(body, controls, old_poison)
+    assert old_poison.fired == 1 and retries == 1 and recentres >= 1
+
+    seen.append([])
+    new_poison = _Poison(getattr(bodies, d2_name), target)
+    monkeypatch.setattr(engine, d2_name, new_poison)
+    traj = engine.evolve(body, -1.0, controls)
+    assert new_poison.fired == 1
+
+    # every recentred or emitted state, in order: one per accepted step
+    assert len(seen[0]) == len(seen[1]) == accepted + 1 + recentres
+    assert all(np.array_equal(a, b) for a, b in zip(*seen))
+    assert traj.meta["accepted_steps"] == accepted
+    s_ext = traj.meta["s_ext"]
+    assert len(traj.slices) == len(records)
+    for sl, (s, hc, shift) in zip(traj.slices, records):
+        assert sl.t == s - s_ext
+        assert np.array_equal(sl.body.h, hc)
+        assert np.array_equal(sl.shift, shift)
+    # 4 stencil evaluations per accepted step, plus the projection test,
+    # the first stage, one per recentre and the failed stage
+    assert new_poison.calls == 2 + 4 * accepted + recentres + 1
+
+
+def test_curve_run_matches_old_loop(monkeypatch):
+    # off-centre start: the first steps recentre the body
+    body = bodies.random_convex_curve(64, 5, amplitude=0.4).translated([0.7, 0.2])
+    controls = engine.FlowControls(cfl=0.4, max_dt=1e-2, stop_rho_plus=0.3,
+                                   snapshot_stride=1)
+    _check_bit_identical(monkeypatch, body, controls, _roll_d2_periodic4, "d2_periodic4")
+
+
+def test_perturbed_sphere_run_matches_old_loop(monkeypatch):
+    base = bodies.random_convex_profile(2, 32, seed=42, modes=4, amplitude=0.05)
+    body = base.translated(0.5)
+    controls = engine.FlowControls(cfl=0.2, max_dt=1e-2, stop_rho_plus=0.4,
+                                   snapshot_stride=1)
+    _check_bit_identical(monkeypatch, body, controls, bodies.d2_reflect4, "d2_reflect4")
+
+
+def test_step_failure_carries_diagnostics(monkeypatch):
+    body = bodies.random_convex_curve(32, 3, amplitude=0.3)
+    controls = engine.FlowControls(cfl=0.4, max_dt=1e-2, stop_rho_plus=0.3)
+    calls = []
+
+    def failing(h, dx):  # every stage after the first one fails
+        calls.append(1)
+        return bodies.d2_periodic4(h, dx) if len(calls) <= 2 else -2.0 * h - 1.0
+
+    monkeypatch.setattr(engine, "d2_periodic4", failing)
+    with pytest.raises(engine.StepFailedError) as info:
+        engine.evolve(body, -1.0, controls)
+    err = info.value
+    rho = bodies.d2_periodic4(body.h, body.step) + body.h
+    dt0 = min(controls.max_dt, engine._dt_bound(rho, body.step, controls.cfl))
+    assert err.s == 0.0
+    assert err.check == "ConvexityLostError"
+    assert err.dt == dt0 / 2.0 ** 20
+    assert err.min_rho == float(np.min(rho))
+    assert str(err) == (f"step rejected 20 times at s = 0 (dt down to "
+                        f"{dt0 / 2.0 ** 21:.3e}): h'' + h <= 0 inside a stage")
+
+
+def test_initial_body_failing_four_point_test_is_rejected():
+    # passes the 3-point validation, fails the engine's 4-point stencil
+    theta = np.arange(64) * (2.0 * math.pi / 64)
+    vertices = np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
+    h = np.max(vertices @ np.vstack([np.cos(theta), np.sin(theta)]), axis=0) + 0.05
+    body = bodies.SupportProfile("curve", 1, h)
+    with pytest.raises(NonConvexBodyError, match="4-point"):
+        engine.evolve(body, -1.0, engine.FlowControls())

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import geometry
-from .bodies import CapState, MODE_CURVE
+from .bodies import CapState, MODE_CURVE, recentre, shift_support
 from .diagnostics import (DeficitField, curvature_field, umbilic_deficit,
                           H_FLOOR, type_quantities)
 from .engine import TimeSlice, Trajectory
@@ -425,27 +425,14 @@ def type_two_rescale(traj, window):
     for i in idx:
         sl = traj.slices[i]
         body = sl.body
-        h = body.h - (body.normals() @ x_k if curve_mode
-                      else float(x_k[0]) * np.cos(body.angles()))
+        h = body.h - shift_support(body.mode, body.h, x_k if curve_mode else x_k[0])
         if roll:
             h = np.roll(h, roll)
-        h = L_k * h
         # the marked frame puts p_k at the origin, so support values are not
         # positive there; store each slice recentered and keep the shift back
         # to the marked frame (h_marked = h_stored + <shift, nu>).
-        if curve_mode:
-            ang = np.arange(len(h)) * (2.0 * math.pi / len(h))
-            nu_g = np.column_stack([np.cos(ang), np.sin(ang)])
-            from ._solvers import chebyshev_center_curve
-            ctr, _ = chebyshev_center_curve(nu_g, h)
-            new_body = body.with_values(h - nu_g @ ctr)
-            shift = ctr
-        else:
-            from ._solvers import chebyshev_center_axis
-            ang = np.arange(len(h)) * (math.pi / (len(h) - 1))
-            a, _ = chebyshev_center_axis(np.cos(ang), h)
-            new_body = body.with_values(h - a * np.cos(ang))
-            shift = a
+        h, shift = recentre(body.mode, L_k * h)
+        new_body = body.with_values(h)
         # curvature is translation invariant: transplant the base field
         # exactly instead of re-differencing the shifted support values.
         fld = curvature_field(sl)

@@ -101,6 +101,47 @@ def d1_reflect4(h, dx):
 
 
 # ---------------------------------------------------------------------------
+# translations and the Chebyshev center, on support samples
+# ---------------------------------------------------------------------------
+# A shift moves the body by a 2-vector (curve) or along the rotation axis by
+# a scalar (axisym); either acts on the samples as h -> h + <shift, nu>.
+
+def sample_angles(mode, m):
+    """Normal angles of m support samples: 2*pi*j/m (curve), pi*j/(m-1) (axisym)."""
+    if mode == MODE_CURVE:
+        return np.arange(m) * (2.0 * math.pi / m)
+    return np.arange(m) * (math.pi / (m - 1))
+
+
+def _sample_normals(ang):
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def shift_support(mode, h, shift):
+    """<shift, nu> at the normal angles of the samples h."""
+    ang = sample_angles(mode, len(h))
+    if mode == MODE_CURVE:
+        return _sample_normals(ang) @ np.asarray(shift, dtype=float)
+    return float(shift) * np.cos(ang)
+
+
+def chebyshev_ball(mode, h):
+    """(center, radius) of the largest ball inside every sampled support
+    plane; the center is a 2-vector (curve) or an axial scalar (axisym)."""
+    ang = sample_angles(mode, len(h))
+    if mode == MODE_CURVE:
+        return _solvers.chebyshev_center_curve(_sample_normals(ang), h)
+    return _solvers.chebyshev_center_axis(np.cos(ang), h)
+
+
+def recentre(mode, h):
+    """(h_centred, shift): the samples moved so the Chebyshev center is the
+    origin, and the shift back, h = h_centred + <shift, nu>."""
+    center, _ = chebyshev_ball(mode, h)
+    return h - shift_support(mode, h, center), center
+
+
+# ---------------------------------------------------------------------------
 # trigonometric interpolation of support samples
 # ---------------------------------------------------------------------------
 
@@ -185,14 +226,11 @@ class SupportProfile:
         return 2.0 * math.pi / self.N if self.mode == MODE_CURVE else math.pi / self.N
 
     def angles(self):
-        if self.mode == MODE_CURVE:
-            return np.arange(self.N) * self.step
-        return np.arange(self.N + 1) * self.step
+        return sample_angles(self.mode, len(self.h))
 
     def normals(self):
         """Profile-plane outer normals at the sample angles, shape (m, 2)."""
-        a = self.angles()
-        return np.column_stack([np.cos(a), np.sin(a)])
+        return _sample_normals(self.angles())
 
     # -- discrete differential structure ----------------------------------
 
@@ -274,27 +312,14 @@ class SupportProfile:
         ``profile.center_shift`` (a 2-vector for curves, an axial scalar for
         axisym profiles).
         """
-        h = np.asarray(h, dtype=float)
-        if mode == MODE_CURVE:
-            ang = np.arange(len(h)) * (2.0 * math.pi / len(h))
-            nu = np.column_stack([np.cos(ang), np.sin(ang)])
-            center, _ = _solvers.chebyshev_center_curve(nu, h)
-            shifted = h - nu @ center
-            prof = cls(mode, n, shifted)
-            prof.center_shift = center
-        else:
-            ang = np.arange(len(h)) * (math.pi / (len(h) - 1))
-            a, _ = _solvers.chebyshev_center_axis(np.cos(ang), h)
-            prof = cls(mode, n, h - a * np.cos(ang))
-            prof.center_shift = a
+        h, shift = recentre(mode, np.asarray(h, dtype=float))
+        prof = cls(mode, n, h)
+        prof.center_shift = shift
         return prof
 
     def translated(self, shift):
         """Translate the body; curve: 2-vector, axisym: axial scalar."""
-        if self.mode == MODE_CURVE:
-            shift = np.asarray(shift, dtype=float)
-            return SupportProfile(self.mode, self.n, self.h + self.normals() @ shift)
-        return SupportProfile(self.mode, self.n, self.h + float(shift) * np.cos(self.angles()))
+        return self.with_values(self.h + shift_support(self.mode, self.h, shift))
 
     def scaled(self, factor):
         if factor <= 0.0:

@@ -56,7 +56,6 @@ def build_parser():
     pd.add_argument("--sigma", type=float, default=0.05)
     pd.add_argument("--p", type=float, default=2.0)
     pd.add_argument("--k", type=int, default=0)
-    pd.add_argument("--eta", type=float, default=0.0)
     pd.add_argument("--out", required=True, help="CSV output path")
 
     pc = sub.add_parser("classify", help="sphere-characterization verdicts")
@@ -77,6 +76,8 @@ def _cmd_exact(args):
         body = exact.sphere_slice(args.n, t, args.resolution)
         trajio.write_slice(TimeSlice(t, body), args.out)
     elif args.family == "oval":
+        if args.n != 1:
+            raise ValueError("the oval family is a plane curve; it needs --n 1")
         body = exact.angenent_oval_slice(t, args.resolution)
         trajio.write_slice(TimeSlice(t, body), args.out)
     elif args.family == "cap":
@@ -208,7 +209,6 @@ def _cmd_diagnose(args):
                "sigma": args.sigma, "p": args.p}
     if args.k:
         summary["k"] = args.k
-        summary["eta"] = args.eta
         margins = [diagnostics.curvature_field(s).kconvex_margin(args.k)
                    for s in traj.slices]
         summary["kconvex_margin"] = min(margins)

@@ -562,7 +562,7 @@ class PinchingReport:
     grad_ratio_max: float
 
 
-def pinching_report(traj, sigma=0.05, p_values=(2.0,), k_values=(), eta=0.0):
+def pinching_report(traj, sigma=0.05, p_values=(2.0,), k_values=()):
     """Trajectory-level pinching summary (the diagnose CLI's record)."""
     eps = math.inf
     fmax = 0.0

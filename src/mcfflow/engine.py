@@ -38,9 +38,9 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import _solvers, geometry
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile,
-                     NonConvexBodyError, d1_reflect4, d2_periodic4, d2_reflect4)
+from . import geometry
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, NonConvexBodyError,
+                     d1_reflect4, d2_periodic4, d2_reflect4, recentre)
 
 
 class ConvexityLostError(RuntimeError):
@@ -75,7 +75,6 @@ class FlowControls:
     max_dt: float = 1e-2
     stop_rho_plus: float = 0.1
     snapshot_stride: int = 32
-    refinement: int = 256
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
@@ -116,13 +115,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.slices)
-
-    def slice_at(self, t, rtol=1e-9):
-        ts = self.times()
-        i = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[i] - t) > rtol * max(1.0, abs(t)):
-            raise KeyError(f"no slice at t = {t}")
-        return self.slices[i]
 
     def with_time_shift(self, delta):
         """Re-anchored copy: every slice time moved by -delta (gauge change)."""
@@ -239,25 +231,6 @@ _MAX_RETRIES = 20
 _CONVEXITY_PROJECTION_TOL = 1e-12
 
 
-def _recenter_array(h, mode, angles):
-    if mode == MODE_CURVE:
-        nu = np.column_stack([np.cos(angles), np.sin(angles)])
-        c, _ = _solvers.chebyshev_center_curve(nu, h)
-        return h - nu @ c, c
-    a, _ = _solvers.chebyshev_center_axis(np.cos(angles), h)
-    return h - a * np.cos(angles), a
-
-
-def _zero_shift(mode):
-    return np.zeros(2) if mode == MODE_CURVE else 0.0
-
-
-def _add_shift(total, extra, mode):
-    if mode == MODE_CURVE:
-        return np.asarray(total) + np.asarray(extra)
-    return float(total) + float(extra)
-
-
 def evolve(initial, t0, controls):
     """Evolve a convex body to near extinction; returns a Trajectory.
 
@@ -284,13 +257,13 @@ def evolve(initial, t0, controls):
         raise NonConvexBodyError(
             f"initial body fails the 4-point stencil test: {err}") from None
 
-    shift = _zero_shift(mode)
+    shift = 0.0  # broadcasts to the curve's 2-vector on the first addition
     s = 0.0
-    records = []  # (s, h_stored, shift_at_emission)
+    records = []  # (s, stored body, shift_at_emission)
 
     def emit():
-        hc, extra = _recenter_array(h, mode, angles)
-        records.append((s, hc, _add_shift(shift, extra, mode)))
+        hc, extra = recentre(mode, h)
+        records.append((s, SupportProfile(mode, n, hc), shift + extra))
 
     emit()
     accepted = 0
@@ -305,32 +278,30 @@ def evolve(initial, t0, controls):
                 last_err = err
                 attempt *= 0.5
         else:
+            dt = 2.0 * attempt  # the last step size tried
             raise StepFailedError(
-                f"step rejected {_MAX_RETRIES} times at s = {s:.6g} "
-                f"(dt down to {attempt:.3e}): {last_err}",
-                s=s, dt=2.0 * attempt, check=type(last_err).__name__,
+                f"step rejected {_MAX_RETRIES + 1} times at s = {s:.6g} "
+                f"(dt down to {dt:.3e}): {last_err}",
+                s=s, dt=dt, check=type(last_err).__name__,
                 min_rho=float(np.min(rho)))
         s += attempt
         accepted += 1
         # keep the origin well inside the shrinking body
         if h.min() < 0.25 * h.max():
-            h, extra = _recenter_array(h, mode, angles)
-            shift = _add_shift(shift, extra, mode)
+            h, extra = recentre(mode, h)
+            shift = shift + extra
             k, rho = rhs(h)
         if accepted % controls.snapshot_stride == 0:
             emit()
-            if np.max(records[-1][1]) < controls.stop_rho_plus:
+            if np.max(records[-1][1].h) < controls.stop_rho_plus:
                 break
     else:
         raise StepFailedError("step budget exhausted before extinction threshold")
     if records[-1][0] != s:
         emit()
 
-    s_ext = _extinction_estimate(records, mode, n, angles, dtheta)
-    slices = []
-    for s_i, h_i, shift_i in records:
-        body = SupportProfile(mode, n, h_i)
-        slices.append(TimeSlice(s_i - s_ext, body, shift_i))
+    s_ext = _extinction_estimate(records, n)
+    slices = [TimeSlice(s_i - s_ext, body, shift_i) for s_i, body, shift_i in records]
     meta = {
         "engine": mode,
         "controls": controls,
@@ -343,22 +314,15 @@ def evolve(initial, t0, controls):
     return Trajectory(slices, mode, n, initial.N, meta)
 
 
-def _extinction_estimate(records, mode, n, angles, dtheta):
-    if mode == MODE_CURVE:
+def _extinction_estimate(records, n):
+    s_last, body_last, _ = records[-1]
+    if body_last.mode == MODE_CURVE:
         # exact for curve shortening: the enclosed area decays at rate 2*pi
-        s_last, h_last, _ = records[-1]
-        from .bodies import d2_periodic
-        rho = d2_periodic(h_last, dtheta) + h_last
-        area = 0.5 * float(np.sum(h_last * rho) * dtheta)
-        return s_last + area / (2.0 * math.pi)
+        return s_last + geometry.area_and_volume(body_last)[1] / (2.0 * math.pi)
     # axisym: square-root fit of the outer radius over the last <= 20 snapshots
     tail = records[-20:]
     ss = np.array([r[0] for r in tail])
-    rplus = []
-    for _, h_i, _ in tail:
-        body = SupportProfile(mode, n, h_i)
-        rplus.append(geometry.outer_radius(body))
-    rplus = np.asarray(rplus)
+    rplus = np.array([geometry.outer_radius(body) for _, body, _ in tail])
     if len(tail) < 2:
         return ss[-1] + rplus[-1] ** 2 / (2.0 * n)
     coef = np.polyfit(ss, rplus ** 2, 1)

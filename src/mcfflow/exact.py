@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ._solvers import bisect_increasing
-from .bodies import CapState, MODE_AXISYM, MODE_CURVE, SupportProfile
+from .bodies import CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, shift_support
 from .engine import TimeSlice, Trajectory
 
 _FAMILIES = ("sphere", "cylinder", "grim-reaper", "oval", "cap", "equator")
@@ -146,8 +146,10 @@ def _oval_gauss_angle(y, t):
     return np.arctan2(gy, sinx)
 
 
-def oval_support_values(t, theta):
-    """Exact support values of the oval at arbitrary normal angles."""
+def _oval_contact(t, theta):
+    """Inverts the Gauss map: for each normal angle, (psi, y, u) with psi
+    the angle reduced to [0, pi/2], y >= 0 the height of the contact point
+    in the quarter x >= 0, and u = e^t cosh y = cos x there."""
     _require_ancient(t)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     y_max = math.acosh(math.exp(-t))
@@ -157,6 +159,12 @@ def oval_support_values(t, theta):
     roots = bisect_increasing(lambda y: _oval_gauss_angle(y, t) - psi,
                               np.zeros_like(psi), np.full_like(psi, y_max))
     u = np.minimum(0.5 * (np.exp(roots + t) + np.exp(t - roots)), 1.0)
+    return psi, roots, u
+
+
+def oval_support_values(t, theta):
+    """Exact support values of the oval at arbitrary normal angles."""
+    psi, roots, u = _oval_contact(t, theta)
     x = np.arccos(u)
     vals = x * np.cos(psi) + roots * np.sin(psi)
     return vals if vals.size > 1 else float(vals[0])
@@ -168,14 +176,7 @@ def oval_curvature_values(t, theta):
     From the implicit form, kappa = cos x / |grad F| with
     |grad F| = sqrt(sin^2 x + (e^t sinh y)^2).
     """
-    _require_ancient(t)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    y_max = math.acosh(math.exp(-t))
-    psi = np.abs(np.remainder(theta + math.pi, 2.0 * math.pi) - math.pi)
-    psi = np.where(psi > math.pi / 2.0, math.pi - psi, psi)
-    roots = bisect_increasing(lambda y: _oval_gauss_angle(y, t) - psi,
-                              np.zeros_like(psi), np.full_like(psi, y_max))
-    u = np.minimum(0.5 * (np.exp(roots + t) + np.exp(t - roots)), 1.0)
+    _, roots, u = _oval_contact(t, theta)
     gy = 0.5 * (np.exp(roots + t) - np.exp(t - roots))
     grad = np.hypot(np.sqrt(np.maximum(1.0 - u * u, 0.0)), gy)
     vals = u / grad
@@ -328,9 +329,7 @@ def _absolute_support(sl):
     body = sl.body
     if sl.shift is None:
         return body.h
-    if body.mode == MODE_CURVE:
-        return body.h + body.normals() @ np.asarray(sl.shift)
-    return body.h + float(sl.shift) * np.cos(body.angles())
+    return body.h + shift_support(body.mode, body.h, sl.shift)
 
 
 def residual_convergence_order(family, t, sample_count=64, dt0=None, levels=3):

@@ -21,8 +21,8 @@ from scipy import optimize, sparse
 from scipy.sparse import csgraph
 
 from . import _solvers
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile,
-                     sphere_surface_area, unit_ball_volume)
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, chebyshev_ball,
+                     recentre, sphere_surface_area, unit_ball_volume)
 
 
 @dataclass(frozen=True)
@@ -207,20 +207,12 @@ def outer_radius(body):
 
 def inner_radius(body):
     """Chebyshev radius: the largest ball inside all sampled support planes."""
-    if body.mode == MODE_CURVE:
-        _, r = _solvers.chebyshev_center_curve(body.normals(), body.h)
-        return r
-    _, r = _solvers.chebyshev_center_axis(np.cos(body.angles()), body.h)
-    return r
+    return chebyshev_ball(body.mode, body.h)[1]
 
 
 def chebyshev_center(body):
     """Center of the largest inscribed ball (2-vector / axial scalar)."""
-    if body.mode == MODE_CURVE:
-        c, _ = _solvers.chebyshev_center_curve(body.normals(), body.h)
-        return c
-    a, _ = _solvers.chebyshev_center_axis(np.cos(body.angles()), body.h)
-    return a
+    return chebyshev_ball(body.mode, body.h)[0]
 
 
 def area_and_volume(body):
@@ -417,14 +409,6 @@ def hausdorff_distance(body_a, body_b, recenter=True):
         raise ValueError("bodies must share mode and grid")
     ha, hb = body_a.h, body_b.h
     if recenter:
-        if body_a.mode == MODE_CURVE:
-            ca, _ = _solvers.chebyshev_center_curve(body_a.normals(), ha)
-            cb, _ = _solvers.chebyshev_center_curve(body_b.normals(), hb)
-            ha = ha - body_a.normals() @ ca
-            hb = hb - body_b.normals() @ cb
-        else:
-            aa, _ = _solvers.chebyshev_center_axis(np.cos(body_a.angles()), ha)
-            ab, _ = _solvers.chebyshev_center_axis(np.cos(body_b.angles()), hb)
-            ha = ha - aa * np.cos(body_a.angles())
-            hb = hb - ab * np.cos(body_b.angles())
+        ha, _ = recentre(body_a.mode, ha)
+        hb, _ = recentre(body_b.mode, hb)
     return float(np.max(np.abs(ha - hb)))

@@ -2,10 +2,11 @@
 
 Trajectory files are line-delimited JSON: a header record first (schema
 version "mcfflow/1"), then one snapshot per line.  Floats are serialized
-with 17 significant digits, which round-trips every double bit-exactly, so
-read(write(x)) == x on all numeric fields.  Geometry payloads reject
-NaN/Inf on both write and read.  Outputs carry no timestamps; provenance is
-a config hash plus the seed, so reruns are byte-identical.
+in their shortest round-trip form (repr), which reproduces every double
+bit-exactly, so read(write(x)) == x on all numeric fields.  Geometry
+payloads reject NaN/Inf on both write and read.  Outputs carry no
+timestamps; provenance is a config hash plus the seed, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ class CorruptRecordError(ValueError):
         self.line_no = line_no
 
 
-def _fmt_float(x):
+def _finite(x):
     if not math.isfinite(x):
         raise ValueError("non-finite value in numeric payload")
-    return float(f"{float(x):.17g}")
+    return x
 
 
 def _clean(obj):
-    """Normalize a payload tree: numpy -> python, floats to 17 digits."""
+    """Normalize a payload tree: numpy -> python, rejecting NaN/Inf."""
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -53,7 +54,7 @@ def _clean(obj):
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return _fmt_float(float(obj))
+        return _finite(float(obj))
     if isinstance(obj, (np.integer, int)) or obj is None or isinstance(obj, (str, bool)):
         return int(obj) if isinstance(obj, np.integer) else obj
     raise TypeError(f"unserializable value of type {type(obj)!r}")
@@ -68,11 +69,10 @@ def _controls_payload(controls):
         return None
     return {"cfl": controls.cfl, "max_dt": controls.max_dt,
             "stop_rho_plus": controls.stop_rho_plus,
-            "snapshot_stride": controls.snapshot_stride,
-            "refinement": controls.refinement}
+            "snapshot_stride": controls.snapshot_stride}
 
 
-def _slice_payload(sl, n, gauge):
+def _slice_payload(sl, gauge):
     body = sl.body
     if isinstance(body, CapState):
         rec = {"t": sl.t, "repr": REPR_CAP, "n": body.n, "N": 1,
@@ -116,7 +116,7 @@ def write_trajectory(traj, path):
     with open(path, "w") as f:
         f.write(_dumps(header) + "\n")
         for sl in traj.slices:
-            f.write(_dumps(_slice_payload(sl, traj.n, gauge)) + "\n")
+            f.write(_dumps(_slice_payload(sl, gauge)) + "\n")
 
 
 def _parse_line(line, line_no):
@@ -194,6 +194,7 @@ def read_trajectory(path):
         "R": header.get("ambient_R"),
     }
     if controls:
+        controls.pop("refinement", None)  # written by versions that had the option
         meta["controls"] = FlowControls(**controls)
     n = int(header.get("n", slices[0].body.n))
     return Trajectory(slices, engine_kind if engine_kind in (MODE_CURVE, MODE_AXISYM, "cap")
@@ -207,14 +208,14 @@ def slices_mode(slices):
     return body.mode
 
 
-def write_slice(sl, path, engine_kind=None, n=None):
+def write_slice(sl, path):
     """Write a single snapshot as a one-record trajectory file."""
     body = sl.body
     if isinstance(body, CapState):
-        kind, nn, N = "cap", body.n, None
+        kind, N = "cap", None
     else:
-        kind, nn, N = body.mode, body.n, body.N
-    traj = Trajectory([sl], engine_kind or kind, n or nn, N, {"engine": engine_kind or kind})
+        kind, N = body.mode, body.N
+    traj = Trajectory([sl], kind, body.n, N, {"engine": kind})
     write_trajectory(traj, path)
 
 
@@ -253,7 +254,7 @@ def emit_report(report, path, format="json"):
                 elif isinstance(v, str):
                     cells.append(v)
                 else:
-                    cells.append(f"{_fmt_float(float(v)):.17g}")
+                    cells.append(f"{_finite(float(v)):.17g}")
             buf.write(",".join(cells) + "\n")
         with open(path, "w") as f:
             f.write(buf.getvalue())
@@ -283,7 +284,6 @@ CONFIG_SCHEMA = {
                 "max_dt": {"type": "number", "exclusiveMinimum": 0},
                 "stop_rho_plus": {"type": "number", "exclusiveMinimum": 0},
                 "snapshot_stride": {"type": "integer", "minimum": 1},
-                "refinement": {"type": "integer", "minimum": 16},
             },
         },
         "cap": {
@@ -321,26 +321,6 @@ CONFIG_SCHEMA = {
                         "radius": {"type": "number", "exclusiveMinimum": 0},
                     },
                 },
-            },
-        },
-        "diagnostics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number", "minimum": 0},
-                "p": {"type": "number", "exclusiveMinimum": 0},
-                "k": {"type": "integer", "minimum": 1},
-                "eta": {"type": "number", "minimum": 0},
-            },
-        },
-        "verdicts": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "growth_ratio": {"type": "number", "exclusiveMinimum": 1},
-                "slope_threshold": {"type": "number", "exclusiveMinimum": 0},
-                "hard_caps": {"type": "object",
-                              "additionalProperties": {"type": "number"}},
             },
         },
     },

@@ -96,6 +96,14 @@ def test_exact_exits_cleanly(tmp_path, family, t, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_oval_in_higher_dimension_is_bad_input(tmp_path, capsys):
+    # the oval is a plane curve; --n 2 must not silently write one
+    assert cli.main(["exact", "--family", "oval", "--n", "2", "--t", "-1",
+                     "--resolution", "32", "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert "--n 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_cap_inputs_are_rejected_as_bad_input(inputs, capsys):
     d, paths = inputs
     assert cli.main(["geom", "--body", paths["cap"]]) == 2

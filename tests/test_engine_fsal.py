@@ -67,13 +67,13 @@ def _old_evolve(initial, controls, d2):
         rhs(out)
         return out
 
-    shift = engine._zero_shift(mode)
+    shift = np.zeros(2) if mode == MODE_CURVE else 0.0
     s = 0.0
     records = []
 
     def emit():
-        hc, extra = engine._recenter_array(h, mode, angles)
-        records.append((s, hc, engine._add_shift(shift, extra, mode)))
+        hc, extra = bodies.recentre(mode, h)
+        records.append((s, hc, shift + extra))
 
     emit()
     accepted = recentres = retries = 0
@@ -90,8 +90,8 @@ def _old_evolve(initial, controls, d2):
         s += attempt
         accepted += 1
         if np.min(h) < 0.25 * np.max(h):
-            h, extra = engine._recenter_array(h, mode, angles)
-            shift = engine._add_shift(shift, extra, mode)
+            h, extra = bodies.recentre(mode, h)
+            shift = shift + extra
             recentres += 1
         if accepted % controls.snapshot_stride == 0:
             emit()
@@ -128,11 +128,12 @@ def _check_bit_identical(monkeypatch, body, controls, d2_old, d2_name):
     target = probe.inputs[1 + 6 * 5 + 2]
 
     seen = []
-    recenter = engine._recenter_array
-    def recorded(h, mode, angles):
+    recenter = bodies.recentre
+    def recorded(mode, h):
         seen[-1].append(h.copy())
-        return recenter(h, mode, angles)
-    monkeypatch.setattr(engine, "_recenter_array", recorded)
+        return recenter(mode, h)
+    monkeypatch.setattr(bodies, "recentre", recorded)
+    monkeypatch.setattr(engine, "recentre", recorded)
 
     seen.append([])
     old_poison = _Poison(d2_old, target)
@@ -195,8 +196,8 @@ def test_step_failure_carries_diagnostics(monkeypatch):
     assert err.check == "ConvexityLostError"
     assert err.dt == dt0 / 2.0 ** 20
     assert err.min_rho == float(np.min(rho))
-    assert str(err) == (f"step rejected 20 times at s = 0 (dt down to "
-                        f"{dt0 / 2.0 ** 21:.3e}): h'' + h <= 0 inside a stage")
+    assert str(err) == (f"step rejected 21 times at s = 0 (dt down to "
+                        f"{dt0 / 2.0 ** 20:.3e}): h'' + h <= 0 inside a stage")
 
 
 def test_initial_body_failing_four_point_test_is_rejected():

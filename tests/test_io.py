@@ -1,5 +1,6 @@
 """Serialization contracts and the command line surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -40,6 +41,28 @@ def test_roundtrip_engine_run_with_shifts(tmp_path):
     trajio.write_trajectory(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert back.meta["controls"] == run.meta["controls"]
+
+
+def test_header_with_refinement_control_still_reads(tmp_path, sphere_traj):
+    # files written while FlowControls had a `refinement` field carry it
+    controls = engine.FlowControls(cfl=0.3)
+    traj = engine.Trajectory(sphere_traj.slices, "curve", 1, 64, {"controls": controls})
+    p = tmp_path / "old.jsonl"
+    trajio.write_trajectory(traj, p)
+    text = p.read_text()
+    assert '"snapshot_stride":32}' in text
+    p.write_text(text.replace('"snapshot_stride":32}',
+                              '"snapshot_stride":32,"refinement":256}', 1))
+    back = trajio.read_trajectory(p)
+    assert back.meta["controls"] == controls
+    assert all(np.array_equal(a.body.h, b.body.h) for a, b in zip(traj.slices, back.slices))
+
+
+def test_controls_fields_payload_and_schema_agree():
+    # a control must be settable, written and read in all three places
+    names = {f.name for f in dataclasses.fields(engine.FlowControls)}
+    assert set(trajio._controls_payload(engine.FlowControls())) == names
+    assert set(trajio.CONFIG_SCHEMA["properties"]["controls"]["properties"]) == names
 
 
 def test_roundtrip_cap(tmp_path, cap_run):

@@ -1,9 +1,10 @@
 """Small exact solvers backing the convex-body measurements.
 
 Everything here is deliberately dependency-free and deterministic: the
-inscribed-ball problem is a linear program in at most three unknowns and the
-enclosing-ball problem is the classic minimum enclosing circle.  Randomized
-orders use explicitly seeded generators so repeated runs are bit-identical.
+inscribed-ball problem is a linear program in at most three unknowns,
+solved by a dual simplex with no randomness, and the enclosing-ball problem
+is the classic minimum enclosing circle, whose random insertion order comes
+from an explicitly seeded generator so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,115 +17,81 @@ class InfeasibleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Seidel-style randomized incremental LP, dimensions 1..3 (Seidel 1991).
+# Chebyshev centers (largest inscribed ball) by the dual simplex.
 #
-# minimize c.x  subject to  A x <= b  and  lo <= x <= hi  (componentwise).
-# Expected O(d! m) for m constraints; m <= 4096 here.  The constraints are
-# taken in a seeded random order.  One array comparison finds the next one
-# the current optimum violates (NaN counts as violated); the prefix before
-# it is then reduced onto its hyperplane with array operations, and the
-# 1-d base case is a masked min/max.  The arithmetic is the same, element
-# by element, as a scalar loop over the constraints.
+# maximize r  subject to  G c + r <= h,  that is  A x <= h  with  A = [G, 1]
+# and x = (c, r) free.  A basis is d rows of A (d = 3 for curves, 2 for
+# axisym); its vertex is x = A_B^-1 h_B and its dual weights are
+# lam = e_r A_B^-1, the last row of the inverse.  The start bases have
+# lam >= 0 because their normals positively span.  Each pivot brings in the
+# most violated row q and drops the basis row that keeps lam >= 0 (minimum
+# ratio lam_i / mu_i over mu_i > 0, where mu = a_q A_B^-1), so the first
+# vertex that violates no row is optimal.  No basis is singular for distinct
+# sample angles: three distinct unit normals are never collinear, and two
+# distinct angles in [0, pi] have distinct cosines.  Ties go to the lowest
+# row index.  If a basis repeats, the entering row becomes the lowest
+# violated one (Bland's rule), which cannot cycle in exact arithmetic; a
+# repeat under it is reported rather than looped on.  When the optimum is a
+# segment, the vertex the pivots reach is returned.
 # ---------------------------------------------------------------------------
 
-def _lp_1d(A, b, c, lo, hi, tol):
-    a = A[:, 0]
-    null = np.abs(a) <= tol * 1e-4
-    if (b[null] < -tol).any():
-        raise InfeasibleError("contradictory constant constraint")
-    x = b / np.where(null, 1.0, a)
-    # fmin/fmax skip NaN bounds, as the scalar min/max did
-    hi = float(np.fmin.reduce(x[~null & (a > 0.0)], initial=hi))
-    lo = float(np.fmax.reduce(x[~null & ~(a > 0.0)], initial=lo))
-    if lo > hi + tol:
-        raise InfeasibleError("empty interval")
-    hi = max(hi, lo)
-    return np.array([lo if c[0] >= 0.0 else hi])
-
-
-def _seidel(A, b, c, lo, hi, rng, tol):
-    d = len(c)
-    if d == 1:
-        return _lp_1d(A, b, c, float(lo[0]), float(hi[0]), tol)
-    m = len(b)
-    if m:
-        order = rng.permutation(m)
-        A = A[order]
-        b = b[order]
-    # start at the box corner optimal for the unconstrained problem
-    x = np.where(c > 0.0, lo, hi).astype(float)
-    i = 0
-    while i < m:
-        violated = ~(A[i:] @ x <= b[i:] + tol)
-        j = int(violated.argmax())
-        if not violated[j]:
+def _max_inscribed(G, h, basis):
+    """(c, r) maximizing r subject to G c + r <= h, from a dual-feasible basis."""
+    h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise InfeasibleError("non-finite support value")
+    A = np.column_stack([G, np.ones(len(h))])
+    tol = 1e-9 * max(1.0, 2.0 * float(np.max(np.abs(h))) + 1.0)
+    basis = np.array(basis)
+    seen, bland = set(), False
+    while True:
+        Binv = np.linalg.inv(A[basis])
+        x = Binv @ h[basis]
+        s = h - A @ x
+        violated = s < -tol
+        if not violated.any():
             break
-        i += j
-        ai = A[i]
-        bi = b[i]
-        # optimum of the prefix lies on this hyperplane; eliminate one variable
-        k = int(np.argmax(np.abs(ai)))
-        aik = ai[k]
-        if abs(aik) < tol * 1e-3:
-            raise InfeasibleError("violated constraint with null gradient")
-        idx = [l for l in range(d) if l != k]
-        ai_idx = ai[idx]
-        f = A[:i, k] / aik
-        rows = np.empty((i + 2, d - 1))
-        rhs = np.empty(i + 2)
-        rows[:i] = A[:i][:, idx] - f[:, None] * ai_idx
-        rhs[:i] = b[:i] - f * bi
-        # the eliminated variable keeps its box bounds as ordinary constraints
-        box = np.array([1.0, -1.0]) / aik
-        rows[i:] = -box[:, None] * ai_idx
-        rhs[i:] = np.array([hi[k], -lo[k]]) - box * bi
-        c_red = c[idx] - (c[k] / aik) * ai_idx
-        y = _seidel(rows, rhs, c_red, lo[idx], hi[idx], rng, tol)
-        x = np.empty(d)
-        x[idx] = y
-        x[k] = (bi - float(ai_idx @ y)) / aik
-        i += 1
-    return x
+        key = tuple(basis)
+        if key in seen:
+            if bland:
+                raise InfeasibleError("dual simplex cycled under Bland's rule")
+            bland, seen = True, set()
+        seen.add(key)
+        q = int(violated.argmax()) if bland else int(s.argmin())
+        mu = A[q] @ Binv
+        up = mu > 0.0
+        if not up.any():
+            raise InfeasibleError("no basis row can leave: the constraints are inconsistent")
+        ratio = np.where(up, Binv[-1] / np.where(up, mu, 1.0), np.inf)
+        basis[int(ratio.argmin())] = q
+        basis.sort()
+    if x[-1] < -tol:
+        raise InfeasibleError("empty body: the support planes leave no room for a ball")
+    return x[:-1], float(x[-1])
 
 
-# ---------------------------------------------------------------------------
-# Chebyshev centers (largest inscribed ball).
-# ---------------------------------------------------------------------------
-
-def chebyshev_center_curve(nu, h, seed=0xC3B1):
+def chebyshev_center_curve(nu, h):
     """Largest inscribed circle for a plane body given support samples.
 
-    nu: (m,2) unit outer normals, h: (m,) support values.  Solves
-    max r subject to <c, nu_j> + r <= h_j.  Returns (center(2,), radius).
+    nu: (m,2) unit outer normals at increasing angles once around the
+    circle, h: (m,) support values.  Solves max r subject to
+    <c, nu_j> + r <= h_j.  Returns (center(2,), radius).
     """
-    nu = np.asarray(nu, dtype=float)
-    h = np.asarray(h, dtype=float)
-    bound = 2.0 * float(np.max(np.abs(h))) + 1.0
-    A = np.column_stack([nu, np.ones(len(h))])
-    c = np.array([0.0, 0.0, -1.0])  # maximize r
-    lo = np.array([-bound, -bound, 0.0])
-    hi = np.array([bound, bound, bound])
-    rng = np.random.default_rng(seed)
-    x = _seidel(A, h.copy(), c, lo, hi, rng, 1e-9 * max(1.0, bound))
-    return x[:2], float(x[2])
+    m = len(h)
+    # samples a third of the way round from each other positively span
+    return _max_inscribed(nu, h, [0, m // 3, 2 * m // 3])
 
 
-def chebyshev_center_axis(cosphi, h, seed=0xA715):
+def chebyshev_center_axis(cosphi, h):
     """Largest inscribed ball with center constrained to the symmetry axis.
 
     Solves max r subject to a*cos(phi_j) + r <= h_j over the axial
-    coordinate a.  Returns (a, radius).
+    coordinate a, with phi running from the pole 0 to the pole pi.
+    Returns (a, radius).
     """
     cosphi = np.asarray(cosphi, dtype=float)
-    h = np.asarray(h, dtype=float)
-    bound = 2.0 * float(np.max(np.abs(h))) + 1.0
-    A = np.column_stack([cosphi, np.ones(len(h))])
-    c = np.array([0.0, -1.0])
-    lo = np.array([-bound, 0.0])
-    hi = np.array([bound, bound])
-    rng = np.random.default_rng(seed)
-    x = _seidel(A, h.copy(), c, lo, hi, rng, 1e-9 * max(1.0, bound))
-    return float(x[0]), float(x[1])
+    a, r = _max_inscribed(cosphi[:, None], h, [0, len(cosphi) - 1])
+    return float(a[0]), r
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ import math
 import numpy as np
 
 from . import geometry
-from .bodies import CapState, MODE_CURVE, recentre, shift_support
-from .diagnostics import (DeficitField, curvature_field, umbilic_deficit,
-                          H_FLOOR, type_quantities)
-from .engine import TimeSlice, Trajectory
+from .bodies import MODE_CURVE, recentre, shift_support
+from .diagnostics import H_FLOOR, curvature_field, type_quantities, umbilic_deficit
+from .engine import TimeSlice
 
 
 class WindowTooShortError(ValueError):

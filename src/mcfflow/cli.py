@@ -9,7 +9,6 @@ same inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -96,6 +95,8 @@ def _cmd_exact(args):
         }
         trajio.emit_report(payload, args.out)
     else:  # grim-reaper: graph samples (non-compact translating curve)
+        if args.n != 1:
+            raise ValueError("the grim-reaper family is a plane curve; it needs --n 1")
         x = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, args.resolution)
         height, curv = exact.grim_reaper_profile(x, t)
         payload = {

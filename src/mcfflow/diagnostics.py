@@ -27,9 +27,8 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile,
-                     d1_periodic, d1_reflect, sphere_surface_area)
-from .engine import TimeSlice, Trajectory
+from .bodies import CapState, MODE_CURVE, d1_periodic, d1_reflect, sphere_surface_area
+from .engine import TimeSlice
 
 UMBILIC_TOL = 1e-10
 H_FLOOR = 1e-12

@@ -32,7 +32,7 @@ round profiles).  All reported slice times are t = s - s_ext < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 
 import numpy as np

@@ -21,8 +21,8 @@ from scipy import optimize, sparse
 from scipy.sparse import csgraph
 
 from . import _solvers
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, chebyshev_ball,
-                     recentre, sphere_surface_area, unit_ball_volume)
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, chebyshev_ball, recentre,
+                     sphere_surface_area, unit_ball_volume)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -121,9 +122,12 @@ def write_trajectory(traj, path):
 
 def _parse_line(line, line_no):
     try:
-        return json.loads(line, parse_constant=_reject_constant)
+        rec = json.loads(line, parse_constant=_reject_constant)
     except ValueError as err:
         raise CorruptRecordError(line_no, f"invalid JSON ({err})") from None
+    if not isinstance(rec, dict):
+        raise CorruptRecordError(line_no, "record is not a JSON object")
+    return rec
 
 
 def _reject_constant(name):
@@ -135,6 +139,16 @@ def _check_finite(values, line_no):
     if not np.all(np.isfinite(arr)):
         raise CorruptRecordError(line_no, "non-finite geometry payload")
     return arr
+
+
+def _header_block(header, key):
+    """A header's sub-object, {} when it is absent or null."""
+    block = header.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise CorruptRecordError(1, f"header {key} is not an object")
+    return block
 
 
 def read_trajectory(path):
@@ -184,18 +198,22 @@ def read_trajectory(path):
     if not slices:
         raise CorruptRecordError(len(lines), f"no snapshot records (file kind "
                                  f"{header.get('kind')!r})")
-    controls = header.get("controls")
+    gauge, provenance, controls = (_header_block(header, key)
+                                   for key in ("gauge", "provenance", "controls"))
     meta = {
         "engine": engine_kind,
-        "s_ext": (header.get("gauge") or {}).get("t_ext_estimate"),
-        "seed": (header.get("provenance") or {}).get("seed"),
-        "config_hash": (header.get("provenance") or {}).get("config_hash"),
-        "user_t0": (header.get("provenance") or {}).get("user_t0"),
+        "s_ext": gauge.get("t_ext_estimate"),
+        "seed": provenance.get("seed"),
+        "config_hash": provenance.get("config_hash"),
+        "user_t0": provenance.get("user_t0"),
         "R": header.get("ambient_R"),
     }
     if controls:
         controls.pop("refinement", None)  # written by versions that had the option
-        meta["controls"] = FlowControls(**controls)
+        try:
+            meta["controls"] = FlowControls(**controls)
+        except (TypeError, ValueError) as err:
+            raise CorruptRecordError(1, f"bad header controls ({err})") from None
     n = int(header.get("n", slices[0].body.n))
     return Trajectory(slices, engine_kind if engine_kind in (MODE_CURVE, MODE_AXISYM, "cap")
                       else slices_mode(slices), n, header.get("N"), meta)
@@ -338,11 +356,18 @@ def load_config(path):
     return cfg, config_hash(cfg)
 
 
+@functools.cache
+def _config_validator():
+    # built on first use, not at import; CONFIG_SCHEMA is checked by a test
+    # instead of on every call, as jsonschema.validate would do
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(cfg):
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ValueError(f"invalid config: {err.message}") from None
+    # best_match is the error jsonschema.validate raises
+    err = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if err is not None:
+        raise ValueError(f"invalid config: {err.message}")
 
 
 def config_hash(cfg):

@@ -20,7 +20,8 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("matrix")
     paths = {k: str(d / f"{k}.jsonl") for k in
              ("curve", "axisym", "cap", "cap_traj", "curve_traj", "report",
-              "truncated", "four_point")}
+              "truncated", "four_point", "bad_controls", "list_gauge",
+              "array_header")}
     assert cli.main(["exact", "--family", "sphere", "--n", "1", "--t", "-1",
                      "--resolution", "32", "--out", paths["curve"]]) == 0
     assert cli.main(["exact", "--family", "sphere", "--n", "2", "--t", "-1",
@@ -46,6 +47,15 @@ def inputs(tmp_path_factory):
     text = open(paths["curve_traj"]).read()
     with open(paths["truncated"], "w") as f:
         f.write(text[: 2 * len(text) // 3])
+    header, *records = text.splitlines()
+    with open(paths["array_header"], "w") as f:
+        f.write("\n".join(["[1, 2]", *records]) + "\n")
+    for name, key, value in (("bad_controls", "controls", {"cfl": 0.4, "bogus": 1}),
+                             ("list_gauge", "gauge", [1])):
+        # a control FlowControls does not have; a block that is not an object
+        edited = {**json.loads(header), key: value}
+        with open(paths[name], "w") as f:
+            f.write("\n".join([json.dumps(edited), *records]) + "\n")
     # the support of a rounded triangle: convex by the 3-point test that
     # validates bodies, not by the engine's 4-point stencil
     theta = np.arange(64) * (2.0 * math.pi / 64)
@@ -97,11 +107,22 @@ def test_exact_exits_cleanly(tmp_path, family, t, capsys):
 
 
 def test_oval_in_higher_dimension_is_bad_input(tmp_path, capsys):
-    # the oval is a plane curve; --n 2 must not silently write one
-    assert cli.main(["exact", "--family", "oval", "--n", "2", "--t", "-1",
-                     "--resolution", "32", "--out", str(tmp_path / "x.jsonl")]) == 2
-    assert "--n 1" in capsys.readouterr().err
-    assert not (tmp_path / "x.jsonl").exists()
+    # the oval and the grim reaper are plane curves; --n 2 must not
+    # silently write one
+    for family in ("oval", "grim-reaper"):
+        assert cli.main(["exact", "--family", family, "--n", "2", "--t", "-1",
+                         "--resolution", "32", "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert "--n 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("name", ["bad_controls", "list_gauge", "array_header"])
+def test_malformed_records_are_bad_input(inputs, name, capsys):
+    # every subcommand reports the file's bad line, as for the matrix above
+    d, paths = inputs
+    for argv in _argvs(d, paths[name], name):
+        assert cli.main(argv) == 2, argv
+        assert "line " in capsys.readouterr().err
 
 
 def test_cap_inputs_are_rejected_as_bad_input(inputs, capsys):

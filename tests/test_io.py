@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -133,6 +134,20 @@ def test_config_validation_and_hash(tmp_path):
         trajio.validate_config({**cfg, "bogus": 1})
     with pytest.raises(ValueError):
         trajio.validate_config({**cfg, "t0": 1.0})
+
+
+def test_config_schema_and_messages():
+    # the cached validator skips the metaschema check, so it is made here,
+    # and it must report the error jsonschema.validate would
+    jsonschema.Draft202012Validator.check_schema(trajio.CONFIG_SCHEMA)
+    cfg = {"engine": "curve", "n": 1, "t0": -1.0}
+    for bad in ({**cfg, "bogus": 1}, {"n": 1}, [], {**cfg, "n": "1", "t0": 1.0},
+                {**cfg, "initial": {"random": {"amplitude": 2, "seed": -1}}}):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bad, trajio.CONFIG_SCHEMA)
+        with pytest.raises(ValueError) as got:
+            trajio.validate_config(bad)
+        assert str(got.value) == f"invalid config: {expected.value.message}"
 
 
 def test_emit_csv_report(tmp_path):

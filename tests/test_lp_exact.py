@@ -1,15 +1,20 @@
-"""The array form of the Seidel LP against a copy of its scalar form.
+"""The dual-simplex Chebyshev centres against a scalar Seidel LP.
 
-The copy below is `_solvers._seidel` and `_lp_1d` as they were written
-before their row operations moved to numpy: one Python iteration per
-constraint.  Chebyshev centres computed through either must agree bit for
-bit, and both infeasibility errors must still be raised.
+The reference below is the randomized incremental LP (Seidel 1991) that
+computed Chebyshev centres before the dual simplex replaced it: one Python
+iteration per constraint, a seeded random order and a bounding box.  Both
+solve max r subject to <c, nu_j> + r <= h_j, so their radii must agree to
+rounding, and the centre the simplex returns must violate no support plane.
+The centres themselves may differ where the optimum is a segment (the
+stadium below), since any point of it is optimal.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from mcfflow import _solvers, bodies
+from mcfflow import _solvers, bodies, exact
 from mcfflow._solvers import InfeasibleError
 
 
@@ -32,6 +37,7 @@ def _scalar_lp_1d(A, b, c, lo, hi, tol):
 
 
 def _scalar_seidel(A, b, c, lo, hi, rng, tol):
+    """minimize c.x subject to A x <= b and lo <= x <= hi."""
     d = len(c)
     if d == 1:
         return _scalar_lp_1d(A, b, c, float(lo[0]), float(hi[0]), tol)
@@ -68,45 +74,71 @@ def _scalar_seidel(A, b, c, lo, hi, rng, tol):
     return x
 
 
-def _centres(body, shift):
-    """Chebyshev centre of the body moved off its own centre by `shift`."""
-    if body.mode == "curve":
-        nu = body.normals()
-        centre, r = _solvers.chebyshev_center_curve(nu, body.h + nu @ shift)
-        return np.append(centre, r)
-    cosphi = np.cos(body.angles())
-    return np.array(_solvers.chebyshev_center_axis(cosphi, body.h + shift[0] * cosphi))
+def _reference_radius(G, h):
+    """Chebyshev radius by the scalar Seidel LP, boxed as it used to be."""
+    bound = 2.0 * float(np.max(np.abs(h))) + 1.0
+    d = G.shape[1]
+    A = np.column_stack([G, np.ones(len(h))])
+    c = np.append(np.zeros(d), -1.0)
+    lo = np.append(np.full(d, -bound), 0.0)
+    hi = np.full(d + 1, bound)
+    x = _scalar_seidel(A, h.copy(), c, lo, hi, np.random.default_rng(0xC3B1),
+                       1e-9 * max(1.0, bound))
+    return float(x[-1])
 
 
-def test_chebyshev_centres_match_scalar_lp(monkeypatch):
-    # criterion-3 pool bodies (4/5 plane curves, 1/5 axisymmetric)
+def _rows(mode, m):
+    """G of the constraints <c, G_j> + r <= h_j on m samples."""
+    ang = bodies.sample_angles(mode, m)
+    if mode == "curve":
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.cos(ang)[:, None]
+
+
+def _chebyshev(mode, h):
+    """(c, r) from the public solver for this mode, c as a 1-d array."""
+    G = _rows(mode, len(h))
+    if mode == "curve":
+        return _solvers.chebyshev_center_curve(G, h)
+    a, r = _solvers.chebyshev_center_axis(G[:, 0], h)
+    return np.array([a]), r
+
+
+def _cases():
+    """(mode, h) pairs: the criterion-3 pool moved off-centre, finer and
+    elongated curves, round bodies and stadiums with a segment of optima."""
     pool = [bodies.random_convex_curve(96, seed=s, amplitude=0.25 + 0.65 * (s % 10) / 10.0)
             for s in range(240)]
     pool += [bodies.random_convex_profile(2, 64, seed=s, amplitude=0.25 + 0.65 * (s % 8) / 8.0)
              for s in range(60)]
     shifts = np.random.default_rng(7).uniform(-0.3, 0.3, size=(len(pool), 2))
-    new = [_centres(body, shift) for body, shift in zip(pool, shifts)]
-    monkeypatch.setattr(_solvers, "_seidel", _scalar_seidel)
-    old = [_centres(body, shift) for body, shift in zip(pool, shifts)]
-    assert all(np.array_equal(a, b) for a, b in zip(new, old))
+    cases = [(b.mode, b.h + bodies.shift_support(b.mode, b.h, s if b.mode == "curve" else s[0]))
+             for b, s in zip(pool, shifts)]
+    cases += [("curve", bodies.random_convex_curve(256, seed=s, amplitude=0.6).h)
+              for s in range(10)]
+    cases += [("curve", exact.angenent_oval_slice(t, 128).h) for t in (-0.5, -3.0, -10.0)]
+    cases += [("curve", exact.sphere_slice(1, -1.0, 64).h),
+              ("axisym", exact.sphere_slice(2, -1.0, 64).h)]
+    for mode, m in (("curve", 64), ("axisym", 33)):
+        # a segment of length 2 thickened by 0.5: every centre on it is optimal
+        cases.append((mode, np.abs(np.cos(bodies.sample_angles(mode, m))) + 0.5))
+    return cases
 
 
-def _infeasible_message(seidel, A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.array([0.0, -1.0])
-    lo, hi = np.full(2, -10.0), np.full(2, 10.0)
-    with pytest.raises(InfeasibleError) as info:
-        seidel(A, b, c, lo, hi, np.random.default_rng(0), 1e-9)
-    return str(info.value)
+def test_chebyshev_centres_match_scalar_lp():
+    for mode, h in _cases():
+        G = _rows(mode, len(h))
+        c, r = _chebyshev(mode, h)
+        assert r == pytest.approx(_reference_radius(G, h), rel=1e-12, abs=0.0), mode
+        tol = 1e-9 * max(1.0, 2.0 * float(np.max(np.abs(h))) + 1.0)
+        assert np.min(h - G @ c - r) >= -tol, mode
 
 
-@pytest.mark.parametrize("A, b, message", [
-    # y <= 1 and y >= 2: eliminating y leaves 0 <= -1
-    ([[0.0, 1.0], [0.0, -1.0]], [1.0, -2.0], "contradictory constant constraint"),
-    # 0 <= -1 on the starting corner
-    ([[0.0, 0.0]], [-1.0], "violated constraint with null gradient"),
-])
-def test_infeasible_systems_raise(A, b, message):
-    assert _infeasible_message(_solvers._seidel, A, b) == message
-    assert _infeasible_message(_scalar_seidel, A, b) == message
+@pytest.mark.parametrize("mode", ["curve", "axisym"])
+@pytest.mark.parametrize("h, message", [
+    (np.full(33, -1.0), "empty body"),
+    (np.where(np.arange(33) == 5, math.nan, 1.0), "non-finite"),
+], ids=["empty", "nan"])
+def test_infeasible_bodies_raise(mode, h, message):
+    with pytest.raises(InfeasibleError, match=message):
+        _chebyshev(mode, h)

@@ -28,9 +28,8 @@ from .engine import (ConvexityLostError, FlowControls, PoleSingularityError,
 from .diagnostics import (CurvatureField, KConvexity, PinchingReport,
                           ambient_pinching, ambient_pinching_b,
                           cubic_curvature_excess, cubic_excess_from_lambdas,
-                          cubic_excess_pairform, curvature_field,
-                          decay_envelope, gradient_ratio, gradient_sigma,
-                          graph_curvature, harnack_quantity, kconvex_deficit,
+                          curvature_field, decay_envelope, gradient_ratio,
+                          gradient_sigma, harnack_quantity, kconvex_deficit,
                           kconvexity, pinching_gap_level, pinching_report,
                           sufficient_alpha_from_ratio, type_quantities,
                           umbilic_deficit)

@@ -1,13 +1,15 @@
 """Small exact solvers backing the convex-body measurements.
 
-Everything here is deliberately dependency-free and deterministic: the
-inscribed-ball problem is a linear program in at most three unknowns,
-solved by a dual simplex with no randomness, and the enclosing-ball problem
-is the classic minimum enclosing circle, whose random insertion order comes
-from an explicitly seeded generator so repeated runs are bit-identical.
+Everything here is dependency-free and deterministic, with no randomness
+anywhere: the inscribed-ball problem is a linear program in at most three
+unknowns, solved by a dual simplex, and the enclosing-ball problem is the
+minimum enclosing circle, found by a support-set iteration whose support
+never holds more than three points.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -102,7 +104,7 @@ _REL_EPS = 1.0 + 1e-12
 
 
 def _in_circle(c, p):
-    return c is not None and np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS + 1e-300
+    return np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS + 1e-300
 
 
 def _diameter_circle(p, q):
@@ -131,56 +133,55 @@ def _circumcircle(a, b, c):
     return (x, y, r)
 
 
-def _mec_two_fixed(pts, p, q):
-    circ = _diameter_circle(p, q)
-    left = None
-    right = None
-    px, py = p
-    qx, qy = q
-    for r in pts:
-        if _in_circle(circ, r):
-            continue
-        cross = (qx - px) * (r[1] - py) - (qy - py) * (r[0] - px)
-        cc = _circumcircle(p, q, r)
-        if cc is None:
-            continue
-        ccross = (qx - px) * (cc[1] - py) - (qy - py) * (cc[0] - px)
-        if cross > 0.0 and (left is None or ccross > (qx - px) * (left[1] - py) - (qy - py) * (left[0] - px)):
-            left = cc
-        elif cross < 0.0 and (right is None or ccross < (qx - px) * (right[1] - py) - (qy - py) * (right[0] - px)):
-            right = cc
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
+_MAX_SUPPORT_ITERS = 64
 
 
-def _mec_one_fixed(pts, p):
-    c = (p[0], p[1], 0.0)
-    for i, q in enumerate(pts):
-        if not _in_circle(c, q):
-            if c[2] == 0.0:
-                c = _diameter_circle(p, q)
-            else:
-                c = _mec_two_fixed(pts[: i + 1], p, q)
-    return c
+def _smallest_cover(support):
+    """(support, circle): the smallest circle through 2 or 3 of the at most
+    4 points given that covers all of them, and the points defining it."""
+    best = None
+    for k in (2, 3):
+        for sub in itertools.combinations(support, k):
+            c = _diameter_circle(*sub) if k == 2 else _circumcircle(*sub)
+            if c is None or (best is not None and c[2] >= best[1][2]):
+                continue
+            if all(_in_circle(c, p) for p in support):
+                best = (list(sub), c)
+    return best
 
 
-def min_enclosing_circle(points, seed=0x5EED):
-    """Exact minimum enclosing circle of a point set; (center(2,), radius)."""
-    pts = np.asarray(points, dtype=float)
+def _enclosing_circle(pts):
+    """(cx, cy, r) of the minimum enclosing circle of an (m,2) point array.
+
+    Support-set iteration (Elzinga and Hearn 1972): start from the circle on
+    the farthest pair; while some point lies outside, add the farthest one to
+    the support and replace the support by the at most 3 of its points that
+    define the smallest circle covering it.  The radius grows strictly, so
+    the iteration ends; a run past the cap is reported, not looped on.
+    """
+    pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValueError("expected a nonempty (m,2) point array")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pts))
-    shuffled = [tuple(pts[i]) for i in order]
-    c = None
-    for i, p in enumerate(shuffled):
-        if not _in_circle(c, p):
-            c = _mec_one_fixed(shuffled[: i + 1], p)
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point in the enclosing-circle input")
+    x, y = pts[:, 0], pts[:, 1]
+    i = int(np.argmax(np.hypot(x - x[0], y - y[0])))
+    j = int(np.argmax(np.hypot(x - x[i], y - y[i])))
+    support = [tuple(pts[i]), tuple(pts[j])]
+    c = _diameter_circle(*support)
+    for _ in range(_MAX_SUPPORT_ITERS):
+        d = np.hypot(x - c[0], y - c[1])
+        k = int(np.argmax(d))
+        if d[k] <= c[2] * _REL_EPS + 1e-300:
+            return c
+        support, c = _smallest_cover(support + [tuple(pts[k])])
+    raise FloatingPointError(
+        f"enclosing circle did not settle in {_MAX_SUPPORT_ITERS} support updates")
+
+
+def min_enclosing_circle(points):
+    """Exact minimum enclosing circle of a point set; (center(2,), radius)."""
+    c = _enclosing_circle(points)
     return np.array([c[0], c[1]]), float(c[2])
 
 
@@ -188,36 +189,17 @@ def axis_enclosing_ball(x, rsq):
     """Smallest ball centered on the axis enclosing circular orbits.
 
     Orbit j lives at axial coordinate x_j with squared distance rsq_j from
-    the axis.  The max of the quadratics (x_j - a)^2 + rsq_j is convex in a,
-    so a golden-section search is exact up to the iteration tolerance.
-    Returns (a, radius).
+    the axis.  The result is the minimum enclosing circle of the meridian
+    points (x_j, +-sqrt(rsq_j)), which is exact: that point set is symmetric
+    about the axis and its minimum enclosing circle is unique, so the centre
+    lies on the axis, and a ball centred on the axis holds orbit j exactly
+    when it holds (x_j, sqrt(rsq_j)).  Returns (a, radius).
     """
     x = np.asarray(x, dtype=float)
-    rsq = np.asarray(rsq, dtype=float)
-
-    def f(a):
-        return float(np.max((x - a) ** 2 + rsq))
-
-    lo = float(np.min(x))
-    hi = float(np.max(x))
-    if hi - lo < 1e-300:
-        return lo, float(np.sqrt(f(lo)))
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(140):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-    best = 0.5 * (a + b)
-    return best, float(np.sqrt(f(best)))
+    r = np.sqrt(np.asarray(rsq, dtype=float))
+    c = _enclosing_circle(np.column_stack([np.concatenate([x, x]),
+                                           np.concatenate([r, -r])]))
+    return float(c[0]), float(c[2])
 
 
 def bisect_increasing(fn, lo, hi, iters=90):

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, diagnostics, exact, geometry, trajio
+from ._solvers import InfeasibleError
 from .bodies import CapState, NonConvexBodyError, random_convex_curve, random_convex_profile
 from .engine import (ConvexityLostError, FlowControls, PoleSingularityError, StepFailedError,
                      TimeSlice, Trajectory, evolve, evolve_cap)
@@ -266,7 +267,9 @@ def main(argv=None):
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, NonConvexBodyError, trajio.SchemaMismatchError,
-            trajio.CorruptRecordError, FileNotFoundError) as err:
+            trajio.CorruptRecordError, FileNotFoundError,
+            # both come from the input body, not from the integrator
+            InfeasibleError, diagnostics.NonPositiveCurvatureError) as err:
         sys.stderr.write(f"mcfflow: {err}\n")
         return EXIT_VALIDATION
     except (StepFailedError, ConvexityLostError, PoleSingularityError,

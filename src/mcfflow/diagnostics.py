@@ -418,18 +418,6 @@ def cubic_excess_from_lambdas(lambdas):
     return H * A3 - A2 ** 2
 
 
-def cubic_excess_pairform(lambdas):
-    """The equivalent pair form sum_{i<j} l_i l_j (l_i - l_j)^2."""
-    lambdas = np.atleast_2d(lambdas)
-    out = np.zeros(len(lambdas))
-    n = lambdas.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            li, lj = lambdas[:, i], lambdas[:, j]
-            out += li * lj * (li - lj) ** 2
-    return out
-
-
 @dataclass(eq=False)
 class CubicExcess:
     values: np.ndarray
@@ -529,25 +517,8 @@ def decay_envelope(K, n, t, t1, fmax_at_t):
 
 
 # ---------------------------------------------------------------------------
-# graph utilities and summary report
+# summary report
 # ---------------------------------------------------------------------------
-
-def graph_curvature(x, y):
-    """Curvature of a plane graph y(x) on a uniform grid (4th-order FD)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=1e-12, atol=1e-12):
-        raise ValueError("uniform grid required")
-    yp = np.gradient(y, dx, edge_order=2)
-    ypp = np.empty_like(y)
-    ypp[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * dx * dx)
-    ypp[:2] = ypp[2]
-    ypp[-2:] = ypp[-3]
-    # interior 4th-order first derivative improves the leading error
-    yp[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * dx)
-    return ypp / (1.0 + yp ** 2) ** 1.5
-
 
 @dataclass(eq=False)
 class PinchingReport:

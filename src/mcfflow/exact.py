@@ -221,30 +221,6 @@ def equator_slice(R, n):
 
 
 # ---------------------------------------------------------------------------
-# support evaluation shared by the residual oracle
-# ---------------------------------------------------------------------------
-
-def family_support(family, t, theta):
-    """Support values of a compact family at normal angles (curve families),
-    or the scalar radius for spheres/caps."""
-    if family.kind == "sphere":
-        return np.full_like(np.atleast_1d(theta), sphere_radius(family.n, t), dtype=float)
-    if family.kind == "oval":
-        return np.atleast_1d(oval_support_values(t, theta))
-    raise ValueError(f"support evaluation not defined for {family.kind!r}")
-
-
-def family_curvature_H(family, t, theta):
-    """Exact mean curvature at the contact points of the given normals."""
-    if family.kind == "sphere":
-        R = sphere_radius(family.n, t)
-        return np.full_like(np.atleast_1d(theta), family.n / R, dtype=float)
-    if family.kind == "oval":
-        return np.atleast_1d(oval_curvature_values(t, theta))
-    raise ValueError(f"curvature evaluation not defined for {family.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # flow residual: |V_normal + H| certifies that a family solves the flow
 # ---------------------------------------------------------------------------
 

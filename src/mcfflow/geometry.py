@@ -6,9 +6,12 @@ turning a reverse isoperimetric bound into an outer/inner radius bound.
 
 Conventions.  For a body measured here, ``area`` is the n-dimensional
 boundary measure |M| and ``volume`` the (n+1)-dimensional enclosed measure
-|Omega|.  Quadrature is trapezoidal with metric weights, O(N^-2); the outer
-radius of a plane body is the exact minimum enclosing circle of the sampled
-boundary, a lower-biased estimate of the continuum value with error O(N^-2).
+|Omega|.  Quadrature is trapezoidal with metric weights, O(N^-2).  The outer
+radius is the exact minimum enclosing ball of the sampled boundary, a
+lower-biased estimate of the continuum value with error O(N^-2), computed
+deterministically: for a plane body the minimum enclosing circle of the
+boundary points, for an axisymmetric body the minimum enclosing circle of the
+meridian and its mirror image in the axis.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import optimize, sparse
-from scipy.sparse import csgraph
+from scipy import optimize
 
 from . import _solvers
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, chebyshev_ball, recentre,
@@ -252,64 +254,16 @@ def meridian_length(body):
     return float(np.sum(rho * w))
 
 
-def _mesh_geodesic_diameter(body, mesh_shape=(64, 128), window=3):
-    """Intrinsic diameter by shortest paths on a revolution mesh.
-
-    Edge weights are chord lengths between mesh points; each node connects to
-    neighbours within `window` grid offsets, which keeps the direction
-    quantization error well under 1%.  Sources run down a single meridian
-    (rotational symmetry covers all pairs).  Slow; used as an oracle.
-    """
-    n_phi, n_beta = mesh_shape
-    interp = body.interpolator()
-    phi = np.linspace(0.0, math.pi, n_phi + 1)
-    h = interp(phi)
-    hp = interp.derivative(phi)
-    x = h * np.cos(phi) - hp * np.sin(phi)
-    r = np.maximum(h * np.sin(phi) + hp * np.cos(phi), 0.0)
-    beta = np.arange(n_beta) * (2.0 * math.pi / n_beta)
-    # 3-d points for n = 2 (general n uses the same 2-sphere-of-revolution slice)
-    X = np.repeat(x, n_beta)
-    Y = np.outer(r, np.cos(beta)).ravel()
-    Z = np.outer(r, np.sin(beta)).ravel()
-    P = np.column_stack([X, Y, Z])
-    m = len(P)
-
-    def node(i, j):
-        return i * n_beta + (j % n_beta)
-
-    rows, cols = [], []
-    offs = [(di, dj) for di in range(-window, window + 1)
-            for dj in range(-window, window + 1)
-            if (di, dj) != (0, 0) and math.gcd(abs(di), abs(dj)) == 1]
-    ii, jj = np.meshgrid(np.arange(n_phi + 1), np.arange(n_beta), indexing="ij")
-    for di, dj in offs:
-        ii2 = ii + di
-        ok = (ii2 >= 0) & (ii2 <= n_phi)
-        rows.append(node(ii, jj)[ok])
-        cols.append(node(ii2, jj + dj)[ok])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    w = np.linalg.norm(P[rows] - P[cols], axis=1)
-    G = sparse.csr_matrix((w, (rows, cols)), shape=(m, m))
-    sources = [node(i, 0) for i in range(n_phi + 1)]
-    D = csgraph.dijkstra(G, directed=False, indices=sources)
-    return float(np.max(D[np.isfinite(D)]))
-
-
-def intrinsic_diameter(body, method="auto", mesh_shape=(64, 128)):
+def intrinsic_diameter(body):
     """Intrinsic diameter of the boundary hypersurface.
 
     Plane curves: half the perimeter.  Surfaces of revolution: the meridian
     pole-to-pole length (the meridian-plane section is a closed geodesic and
-    azimuthally opposite points realize the maximum distance through it);
-    method="mesh" runs the shortest-path oracle instead.
+    azimuthally opposite points realize the maximum distance through it).
     """
     if body.mode == MODE_CURVE:
         perim, _ = area_and_volume(body)
         return 0.5 * perim
-    if method == "mesh":
-        return _mesh_geodesic_diameter(body, mesh_shape)
     return meridian_length(body)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from mcfflow import (analysis, bodies, diagnostics as dg, engine, exact,
                      geometry, trajio)
+from oracles import cubic_excess_pairform
 
 PASS = "ACCEPTANCE {:>2} [PASS] {}"
 
@@ -268,7 +269,7 @@ def test_criterion_09_eigenvalue_brute_force():
     # Z identity at 1e-12 relative
     lam = rng.uniform(1e-3, 1.0, size=(count, 6))
     z1 = dg.cubic_excess_from_lambdas(lam)
-    z2 = dg.cubic_excess_pairform(lam)
+    z2 = cubic_excess_pairform(lam)
     assert np.max(np.abs(z1 - z2)) <= 1e-12 * np.max(np.abs(z1))
     print(PASS.format(9, f"{points} grid points x 1e5 tuples, 0 "
                          "counterexamples; Z identity at 1e-12"))

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from mcfflow import bodies, cli, engine, exact, trajio
+from mcfflow._solvers import InfeasibleError
+from mcfflow.diagnostics import NonPositiveCurvatureError
 from mcfflow.engine import TimeSlice
 
 
@@ -151,3 +153,18 @@ def test_engine_errors_map_to_numerical_abort(monkeypatch, inputs):
     monkeypatch.setattr(cli, "evolve", lose_convexity)
     assert cli.main(["run", "--config", str(d / "run-curve-curve.json"),
                      "--out", str(d / "o")]) == 3
+
+
+@pytest.mark.parametrize("error", [InfeasibleError("forced"),
+                                   NonPositiveCurvatureError("forced")],
+                         ids=["infeasible", "non-positive-curvature"])
+def test_input_body_errors_map_to_bad_input(monkeypatch, inputs, error):
+    # a read body is validated (finite, h > 0, h'' + h > 0), which rules out
+    # both errors on real inputs; the mapping is still fixed here
+    d, paths = inputs
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli.geometry, "measure", fail)
+    assert cli.main(["geom", "--body", paths["curve"]]) == 2

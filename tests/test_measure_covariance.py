@@ -1,0 +1,58 @@
+"""Measurements are covariant under the symmetries of the sampling grid.
+
+Rolling a curve's samples by whole grid steps rotates the body, and
+reversing an axisymmetric profile's samples mirrors it through the
+equatorial plane: neither may change any measurement.  Scaling by c scales
+lengths by c, the boundary measure by c^n and the enclosed volume by
+c^(n+1).  These hold to rounding, on random bodies rather than hand-picked
+ones, and cover the outer radius and every other part of `measure`.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mcfflow import bodies, geometry
+
+PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+REL = 1e-12
+LENGTHS = ("w_minus", "w_plus", "diam", "diam_I", "rho_minus", "rho_plus")
+
+
+@st.composite
+def random_bodies(draw):
+    """A seeded random curve or axisym profile."""
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    N = draw(st.sampled_from([32, 64, 96]))
+    amplitude = draw(st.floats(0.05, 0.9))
+    if draw(st.booleans()):
+        return bodies.random_convex_curve(N, seed, amplitude=amplitude)
+    return bodies.random_convex_profile(2, N, seed, amplitude=amplitude)
+
+
+def _close(a, b):
+    return abs(a - b) <= REL * abs(b)
+
+
+@PROPERTY
+@given(random_bodies(), st.integers(0, 94))
+def test_measure_is_invariant_under_grid_symmetries(body, steps):
+    if body.mode == "curve":
+        moved = np.roll(body.h, 1 + steps % (body.N - 1))
+    else:
+        moved = body.h[::-1]
+    a = geometry.measure(body).as_dict()
+    b = geometry.measure(bodies.SupportProfile(body.mode, body.n, moved)).as_dict()
+    for key, value in a.items():
+        assert _close(b[key], value), (key, b[key], value)
+
+
+@PROPERTY
+@given(random_bodies(), st.floats(0.1, 10.0))
+def test_measure_scales_with_the_body(body, c):
+    a = geometry.measure(body)
+    b = geometry.measure(body.scaled(c))
+    for key in LENGTHS:
+        assert _close(getattr(b, key), c * getattr(a, key)), key
+    assert _close(b.area, c ** body.n * a.area)
+    assert _close(b.volume, c ** (body.n + 1) * a.volume)
+    assert _close(b.iso_ratio, a.iso_ratio)

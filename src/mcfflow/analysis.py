@@ -392,9 +392,8 @@ def type_two_rescale(traj, window):
         j = int(np.argmax(fld.H))  # argmax returns the smallest maximizing index
         val = math.sqrt(-ts[i]) * float(fld.H[j])
         if val >= best_val * (1.0 - 1e-12):
-            if val > best_val * (1.0 + 1e-12) or best is None or ts[i] >= ts[best[0]]:
-                best_val = val
-                best = (i, j)
+            best_val = val
+            best = (i, j)
     i_k, j_k = best
     t_k = float(ts[i_k])
     base_slice = traj.slices[i_k]

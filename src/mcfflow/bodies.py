@@ -166,17 +166,18 @@ class _TrigInterp:
         self._dwr = w * dF.real / self.N
         self._dwi = w * dF.imag / self.N
 
-    def __call__(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    def _series(self, theta, wr, wi):
+        # a float for a scalar theta, an array for an array of any size
+        theta = np.asarray(theta, dtype=float)
         ang = np.outer(theta, self.k)
-        out = np.cos(ang) @ self._wr - np.sin(ang) @ self._wi
-        return out if out.size > 1 else float(out[0])
+        out = np.cos(ang) @ wr - np.sin(ang) @ wi
+        return out if theta.ndim else float(out[0])
+
+    def __call__(self, theta):
+        return self._series(theta, self._wr, self._wi)
 
     def derivative(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        ang = np.outer(theta, self.k)
-        out = np.cos(ang) @ self._dwr - np.sin(ang) @ self._dwi
-        return out if out.size > 1 else float(out[0])
+        return self._series(theta, self._dwr, self._dwi)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +282,6 @@ class SupportProfile:
                 interp = _TrigInterp(even)
             self._cache["interp"] = interp
         return interp
-
-    def support(self, angle):
-        """Interpolated support value at arbitrary normal angle(s)."""
-        return self.interpolator()(angle)
 
     def boundary_points(self):
         """Contact points in the profile plane, one per sample angle.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import analysis, diagnostics, exact, geometry, trajio
 from ._solvers import InfeasibleError
 from .bodies import CapState, NonConvexBodyError, random_convex_curve, random_convex_profile
 from .engine import (ConvexityLostError, FlowControls, PoleSingularityError, StepFailedError,
-                     TimeSlice, Trajectory, evolve, evolve_cap)
+                     Trajectory, evolve, evolve_cap)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,18 +72,12 @@ def build_parser():
 
 
 def _cmd_exact(args):
+    family = exact.ExactFamily(args.family, n=args.n, k=args.k, R=args.R)
     t = args.t
-    if args.family == "sphere":
-        body = exact.sphere_slice(args.n, t, args.resolution)
-        trajio.write_slice(TimeSlice(t, body), args.out)
-    elif args.family == "oval":
-        if args.n != 1:
-            raise ValueError("the oval family is a plane curve; it needs --n 1")
-        body = exact.angenent_oval_slice(t, args.resolution)
-        trajio.write_slice(TimeSlice(t, body), args.out)
-    elif args.family == "cap":
-        trajio.write_slice(TimeSlice(t, exact.cap_slice(args.R, args.n, t)), args.out)
-    elif args.family == "cylinder":
+    if family.kind in ("sphere", "oval", "cap"):
+        trajio.write_slice(exact.sample_trajectory(family, [t], args.resolution).slices[0],
+                           args.out)
+    elif family.kind == "cylinder":
         # reference curvature configuration only; no support representation
         lambdas = exact.cylinder_reference_curvatures(args.n, args.k, t)
         payload = {
@@ -96,8 +91,6 @@ def _cmd_exact(args):
         }
         trajio.emit_report(payload, args.out)
     else:  # grim-reaper: graph samples (non-compact translating curve)
-        if args.n != 1:
-            raise ValueError("the grim-reaper family is a plane curve; it needs --n 1")
         x = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, args.resolution)
         height, curv = exact.grim_reaper_profile(x, t)
         payload = {
@@ -258,10 +251,27 @@ _DISPATCH = {
 }
 
 
+# a decimal number, sign and exponent included
+_FLOAT_LITERAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _join_time_values(argv):
+    """argv with every number that follows --t passed as --t=<number>.
+
+    argparse takes a token with a leading '-' for an option unless it looks
+    like a plain negative number, so '--t -1e3' would lose its value.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--t" and _FLOAT_LITERAL.fullmatch(argv[i + 1]):
+            argv[i:i + 2] = [f"--t={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_time_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         return EXIT_VALIDATION if err.code not in (0, None) else EXIT_OK
     try:

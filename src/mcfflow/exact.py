@@ -44,6 +44,8 @@ class ExactFamily:
             raise ValueError(f"unknown family {self.kind!r}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if self.kind in ("oval", "grim-reaper") and self.n != 1:
+            raise ValueError(f"the {self.kind} family is a plane curve; it needs --n 1")
         if self.kind == "cylinder" and not 1 <= self.k <= self.n - 1:
             raise ValueError("cylinder requires 1 <= k <= n-1")
         if self.kind in ("cap", "equator") and self.R <= 0.0:

@@ -11,7 +11,9 @@ radius is the exact minimum enclosing ball of the sampled boundary, a
 lower-biased estimate of the continuum value with error O(N^-2), computed
 deterministically: for a plane body the minimum enclosing circle of the
 boundary points, for an axisymmetric body the minimum enclosing circle of the
-meridian and its mirror image in the axis.
+meridian and its mirror image in the axis.  Widths and the diameter are the
+extrema of one array function each of the normal angle, found on a direction
+grid and refined by bounded Brent on the same function.
 """
 
 from __future__ import annotations
@@ -81,39 +83,43 @@ def _antipodal_angle(body, t):
 
 
 def _width_fn(body):
-    """Width h(nu) + h(-nu) as a function of the normal angle (scalar or array)."""
+    """Width h(nu) + h(-nu) at every normal angle of the array t, from one
+    interpolant call."""
     interp = body.interpolator()
-    return lambda t: interp(t) + interp(_antipodal_angle(body, t))
+
+    def width_at(t):
+        h = interp(np.concatenate([t, _antipodal_angle(body, t)]))
+        return h[:len(t)] + h[len(t):]
+    return width_at
 
 
 def width(body, direction):
     """Width h(nu) + h(-nu) in one direction (interpolated)."""
-    return float(_width_fn(body)(_direction_angle(body, direction)))
+    return float(_width_fn(body)(np.array([_direction_angle(body, direction)]))[0])
 
 
 _ROUND_RTOL = 1e-12  # grid values this close to the best are rounding-level ties
 _MAX_TIES = 8        # more ties than this: the body is round to rounding
 
 
-def _extremum(body, fn, vals, sign):
-    """(value, angle) of the minimum of sign * fn over all directions.
+def _extremum(body, fn, sign):
+    """(value, angle) of the minimum of sign * fn over all directions, where
+    fn maps an array of normal angles to an array of values.
 
-    vals holds fn on the search grid.  The best grid point, ranked by the
-    scalar fn among its rounding-level ties (vals may differ from fn in the
-    last bits), is refined by a bounded search one grid step either side.
-    So is every other grid local extremum that lies within its own grid
-    step's variation (the larger difference to a neighbour) of the best: two
-    nearly tied humps can swap order once refined, and refining a hump gains
-    at most a quarter of that variation on a quadratic.
+    The best value of fn on the search grid is refined by bounded Brent one
+    grid step either side.  So is every other grid local extremum that lies
+    within its own grid step's variation (the larger difference to a
+    neighbour) of the best: two nearly tied humps can swap order once
+    refined, and refining a hump gains at most a quarter of that variation
+    on a quadratic.  Among rounding-level ties of the best only the first is
+    refined.
     """
     grid = _search_grid(body)
-    v = sign * vals
+    v = sign * fn(grid)
     best = float(np.min(v))
     ties = np.flatnonzero(v <= best + _ROUND_RTOL * abs(best))
-    if len(ties) > _MAX_TIES:
-        starts = [int(np.argmin(v))]  # round body: any tie will do
-    else:
-        starts = [int(ties[np.argmin([sign * fn(grid[i]) for i in ties])])]
+    starts = [int(np.argmin(v))]
+    if len(ties) <= _MAX_TIES:  # more: the body is round, any tie will do
         # neighbours: the curve grid is periodic; on [0, pi/2] widths and
         # chords are even about both ends
         e = (np.concatenate([v[-1:], v, v[:1]]) if body.mode == MODE_CURVE
@@ -123,13 +129,13 @@ def _extremum(body, fn, vals, sign):
         humps[ties] = False
         starts += np.flatnonzero(humps).tolist()
     step = grid[1] - grid[0]
-    f = lambda t: sign * fn(t)
+    f = lambda t: sign * float(fn(np.array([t]))[0])
     found = []
     for i in starts:
         t = grid[i]
         res = optimize.minimize_scalar(f, bounds=(t - step, t + step), method="bounded",
                                        options={"xatol": 1e-13})
-        found += [(float(res.fun), float(res.x)), (f(t), float(t))]
+        found += [(float(res.fun), float(res.x)), (float(v[i]), float(t))]
     value, angle = min(found)
     return sign * value, angle
 
@@ -137,8 +143,7 @@ def _extremum(body, fn, vals, sign):
 def _width_extrema(body):
     """((w_minus, its angle), (w_plus, its angle))."""
     w = _width_fn(body)
-    vals = w(_search_grid(body))
-    return _extremum(body, w, vals, 1.0), _extremum(body, w, vals, -1.0)
+    return _extremum(body, w, 1.0), _extremum(body, w, -1.0)
 
 
 def min_max_width(body):
@@ -151,39 +156,25 @@ def min_max_width(body):
     return w_minus, w_plus
 
 
-def _chord(mode, h1, h2, d1, d2, t, s, xp):
-    """Distance between the contact points of the normal angles t and s, from
-    their support values h and derivatives d; xp is math (scalars) or numpy."""
-    if mode == MODE_CURVE:
-        # chord = w * nu + w' * nu_perp in the frame of nu
-        return xp.hypot(h1 + h2, d1 + d2)
-    x1 = h1 * xp.cos(t) - d1 * xp.sin(t)
-    r1 = h1 * xp.sin(t) + d1 * xp.cos(t)
-    x2 = h2 * xp.cos(s) - d2 * xp.sin(s)
-    r2 = h2 * xp.sin(s) + d2 * xp.cos(s)
-    return xp.hypot(x1 - x2, r1 + r2)
-
-
-def _antipodal_chord(body):
-    """Length of the chord between the contact points of nu and -nu."""
+def _chord_fn(body):
+    """Length of the chord between the contact points of nu and -nu at every
+    normal angle of the array t, from one interpolant call and one
+    derivative call."""
     interp = body.interpolator()
 
-    def chord(t):
+    def chord_at(t):
         s = _antipodal_angle(body, t)
-        return _chord(body.mode, interp(t), interp(s), interp.derivative(t),
-                      interp.derivative(s), t, s, math)
-    return chord
-
-
-def _chord_grid(body, t):
-    """_antipodal_chord at every angle of the array t, from one array call of
-    the interpolant and one of its derivative."""
-    interp = body.interpolator()
-    s = _antipodal_angle(body, t)
-    both = np.concatenate([t, s])
-    h, d = interp(both), interp.derivative(both)
-    m = len(t)
-    return _chord(body.mode, h[:m], h[m:], d[:m], d[m:], t, s, np)
+        both = np.concatenate([t, s])
+        (h1, h2), (d1, d2) = interp(both).reshape(2, -1), interp.derivative(both).reshape(2, -1)
+        if body.mode == MODE_CURVE:
+            # chord = w * nu + w' * nu_perp in the frame of nu
+            return np.hypot(h1 + h2, d1 + d2)
+        x1 = h1 * np.cos(t) - d1 * np.sin(t)
+        r1 = h1 * np.sin(t) + d1 * np.cos(t)
+        x2 = h2 * np.cos(s) - d2 * np.sin(s)
+        r2 = h2 * np.sin(s) + d2 * np.cos(s)
+        return np.hypot(x1 - x2, r1 + r2)
+    return chord_at
 
 
 def diameter(body):
@@ -192,8 +183,7 @@ def diameter(body):
     Independent of :func:`min_max_width`; for a convex body the two agree
     (the maximal chord joins contact points with antiparallel normals).
     """
-    vals = _chord_grid(body, _search_grid(body))
-    return _extremum(body, _antipodal_chord(body), vals, -1.0)[0]
+    return _extremum(body, _chord_fn(body), -1.0)[0]
 
 
 def outer_radius(body):
@@ -308,23 +298,19 @@ def shadow_measurements(body):
     if body.mode == MODE_AXISYM and body.n != 2:
         raise ValueError("shadow facts implemented for n = 1 and axisym n = 2")
     (w_minus, t0), (w_plus, _) = _width_extrema(body)
-    interp = body.interpolator()
     if body.mode == MODE_CURVE:
         # project onto the normal line of the minimal-width direction
-        length = interp(t0 + math.pi / 2.0) + interp(t0 - math.pi / 2.0)
-        return ShadowFacts(area=float(length), diam=float(length),
-                           w_minus=w_minus, w_plus=w_plus)
+        length = float(_width_fn(body)(np.array([t0 + math.pi / 2.0]))[0])
+        return ShadowFacts(area=length, diam=length, w_minus=w_minus, w_plus=w_plus)
     if t0 < math.pi / 4.0:
         # min width along the axis: shadow is the disk swept by the largest orbit
-        phi = body.angles()
-        hp = interp.derivative(phi)
-        rmax = float(np.max(body.h * np.sin(phi) + hp * np.cos(phi)))
+        rmax = float(np.max(body.boundary_points()[:, 1]))
         return ShadowFacts(area=math.pi * rmax * rmax, diam=2.0 * rmax,
                            w_minus=w_minus, w_plus=w_plus)
     # min width equatorial: shadow is the planar profile region
     rho = body.curvature_radius()
     profile_area = float(np.sum(body.h * rho) * body.step)  # full period of the even profile * 1/2
-    diam_profile = float(np.max(_chord_grid(body, _search_grid(body))))
+    diam_profile = float(np.max(_chord_fn(body)(_search_grid(body))))
     return ShadowFacts(area=profile_area, diam=diam_profile,
                        w_minus=w_minus, w_plus=w_plus)
 

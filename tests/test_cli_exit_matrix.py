@@ -118,6 +118,20 @@ def test_oval_in_higher_dimension_is_bad_input(tmp_path, capsys):
         assert not (tmp_path / "x.jsonl").exists()
 
 
+@pytest.mark.parametrize("t, expected", [("-1e3", -1000.0), ("-2.5e-1", -0.25),
+                                         ("-1000", -1000.0), ("1e-3", 1e-3)])
+def test_exact_takes_times_in_exponent_form(tmp_path, t, expected):
+    # argparse reads '-1e3' as an option unless main joins it to --t
+    out = str(tmp_path / "x.jsonl")
+    family = "sphere" if expected < 0.0 else "grim-reaper"
+    assert cli.main(["exact", "--family", family, "--n", "1", "--t", t,
+                     "--resolution", "32", "--out", out]) == 0
+    if family == "sphere":
+        assert trajio.read_slice(out).t == expected
+    else:
+        assert json.loads(open(out).read())["t"] == expected
+
+
 @pytest.mark.parametrize("name", ["bad_controls", "list_gauge", "array_header"])
 def test_malformed_records_are_bad_input(inputs, name, capsys):
     # every subcommand reports the file's bad line, as for the matrix above

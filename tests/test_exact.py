@@ -196,3 +196,12 @@ def test_sample_trajectory_orders_times():
     traj = exact.sample_trajectory(ExactFamily("oval", 1), [-1.0, -3.0, -2.0], 64)
     assert np.all(np.diff(traj.times()) > 0)
     assert len(traj) == 3
+
+
+@pytest.mark.parametrize("kind", ["oval", "grim-reaper"])
+def test_plane_curve_families_reject_higher_dimensions(kind):
+    # sample_trajectory(ExactFamily("oval", n=2), ...) once returned plane
+    # curves in a trajectory labelled axisym n = 2
+    with pytest.raises(ValueError, match="plane curve"):
+        ExactFamily(kind, n=2)
+    assert ExactFamily(kind).n == 1

@@ -1,5 +1,6 @@
-"""One cache per body, and the array-evaluated grid stage of the widths and
-the diameter against the scalar per-direction search it replaced."""
+"""One cache per body; the array-evaluated grid stage of the widths and the
+diameter against the scalar per-direction search it replaced; and the single
+array path of each searched quantity against the scalar twin it replaced."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from mcfflow import analysis, bodies, diagnostics as dg, geometry
+from mcfflow import analysis, bodies, diagnostics as dg, exact, geometry
 
 # random curves whose two largest width humps are nearly tied on the grid;
 # refining only the grid argmax once returned the smaller hump here: for
@@ -67,6 +68,106 @@ def _scalar_reference(body):
     return w_minus, w_plus, diam
 
 
+def _antipode(body, t):
+    return t + math.pi if body.mode == "curve" else math.pi - t
+
+
+def _two_path_extremum(body, fn, vals, sign):
+    """The search as it was with a scalar twin of each quantity: vals holds
+    the array path on the grid, fn the scalar path, which ranks the
+    rounding-level ties of the best grid point and is what Brent refines."""
+    grid = geometry._search_grid(body)
+    v = sign * vals
+    best = float(np.min(v))
+    ties = np.flatnonzero(v <= best + geometry._ROUND_RTOL * abs(best))
+    if len(ties) > geometry._MAX_TIES:
+        starts = [int(np.argmin(v))]
+    else:
+        starts = [int(ties[np.argmin([sign * fn(grid[i]) for i in ties])])]
+        e = (np.concatenate([v[-1:], v, v[:1]]) if body.mode == "curve"
+             else np.concatenate([v[1:2], v, v[-2:-1]]))
+        lo, hi = np.minimum(e[:-2], e[2:]), np.maximum(e[:-2], e[2:])
+        humps = (v <= lo) & (v - (hi - v) <= best)
+        humps[ties] = False
+        starts += np.flatnonzero(humps).tolist()
+    step = grid[1] - grid[0]
+    f = lambda t: sign * fn(t)
+    found = []
+    for i in starts:
+        t = grid[i]
+        res = optimize.minimize_scalar(f, bounds=(t - step, t + step), method="bounded",
+                                       options={"xatol": 1e-13})
+        found += [(float(res.fun), float(res.x)), (f(t), float(t))]
+    return sign * min(found)[0]
+
+
+def _chord(mode, h1, h2, d1, d2, t, s, xp):
+    """Distance between the contact points of the normal angles t and s;
+    xp is math (scalars) or numpy (arrays)."""
+    if mode == "curve":
+        return xp.hypot(h1 + h2, d1 + d2)
+    x1 = h1 * xp.cos(t) - d1 * xp.sin(t)
+    r1 = h1 * xp.sin(t) + d1 * xp.cos(t)
+    x2 = h2 * xp.cos(s) - d2 * xp.sin(s)
+    r2 = h2 * xp.sin(s) + d2 * xp.cos(s)
+    return xp.hypot(x1 - x2, r1 + r2)
+
+
+def _two_path_reference(body):
+    """(w_minus, w_plus, diam) with the scalar twins: two interpolant calls
+    per width, and a math-module chord from four single-angle calls."""
+    interp = body.interpolator()
+    width = lambda t: interp(t) + interp(_antipode(body, t))
+
+    def chord(t):
+        s = _antipode(body, t)
+        return _chord(body.mode, interp(t), interp(s), interp.derivative(t),
+                      interp.derivative(s), t, s, math)
+
+    grid = geometry._search_grid(body)
+    s = _antipode(body, grid)
+    both = np.concatenate([grid, s])
+    h, d = interp(both), interp.derivative(both)
+    m = len(grid)
+    chords = _chord(body.mode, h[:m], h[m:], d[:m], d[m:], grid, s, np)
+    widths = width(grid)
+    return (_two_path_extremum(body, width, widths, 1.0),
+            _two_path_extremum(body, width, widths, -1.0),
+            _two_path_extremum(body, chord, chords, -1.0))
+
+
+def _single_path_bodies():
+    """The criterion-3 pool, the near ties, fine curves, n = 3 profiles,
+    elongated ovals on three grids, the disk and the ball."""
+    out = _pool()
+    out += [bodies.random_convex_curve(96, s, amplitude=a) for s, a in NEAR_TIES]
+    out += [bodies.random_convex_curve(256, seed=s) for s in range(5)]
+    out += [bodies.random_convex_profile(3, 64, seed=s) for s in range(5)]
+    out += [exact.angenent_oval_slice(t, N) for t in (-0.5, -3.0, -11.74, -20.0, -50.0)
+            for N in (64, 128, 256)]
+    out += [exact.sphere_slice(1, -1.0, 64), exact.sphere_slice(2, -1.0, 64)]
+    return out
+
+
+def test_single_array_path_matches_scalar_twin():
+    for body in _single_path_bodies():
+        w_minus, w_plus, diam = _two_path_reference(body)
+        m = geometry.measure(body)
+        assert m.w_minus == pytest.approx(w_minus, rel=1e-14, abs=0.0)
+        assert m.w_plus == pytest.approx(w_plus, rel=1e-14, abs=0.0)
+        assert m.diam == pytest.approx(diam, rel=1e-14, abs=0.0)
+
+
+def test_interpolant_returns_arrays_for_arrays():
+    interp = bodies.random_convex_curve(64, seed=3).interpolator()
+    for fn in (interp, interp.derivative):
+        one = fn(np.array([0.3]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        scalar = fn(0.3)
+        assert isinstance(scalar, float) and scalar == one[0]
+        assert fn(np.array([0.3, 0.4])).shape == (2,)
+
+
 def test_measure_is_computed_once_per_body():
     body = bodies.random_convex_curve(64, seed=1)
     assert geometry.measure(body) is geometry.measure(body)
@@ -94,7 +195,7 @@ def test_grid_stage_matches_scalar_search():
         assert m.w_plus == pytest.approx(m.diam, rel=1e-9, abs=0.0)
         if body in near_ties:
             # the larger hump, which the scalar search missed
-            assert m.w_plus > w_plus * (1.0 + 1e-9) and m.diam >= diam
+            assert m.w_plus > w_plus * (1.0 + 1e-9) and m.diam >= diam * (1.0 - 1e-14)
         else:
             assert m.w_plus == pytest.approx(w_plus, rel=1e-14, abs=0.0)
             assert m.diam == pytest.approx(diam, rel=1e-14, abs=0.0)

@@ -146,7 +146,11 @@ def recentre(mode, h):
 # ---------------------------------------------------------------------------
 
 class _TrigInterp:
-    """Band-limited interpolant of periodic samples; exact on trig polynomials."""
+    """Band-limited interpolant of periodic samples; exact on trig polynomials.
+
+    The interpolant keeps the Nyquist mode of an even sample count, which
+    its samples need; the spectral derivative drops it (standard convention).
+    """
 
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
@@ -157,27 +161,37 @@ class _TrigInterp:
         w[0] = 1.0
         if self.N % 2 == 0:
             w[-1] = 1.0
-        self._wr = w * self.F.real / self.N
-        self._wi = w * self.F.imag / self.N
-        # derivative coefficients (Nyquist mode dropped, standard convention)
-        dF = 1j * self.k * self.F
+        # coefficient tables [nyquist, order] of orders 0..3, with the
+        # Nyquist mode dropped (nyquist 0) or kept (1)
+        dF = [self.F]
+        for _ in range(3):
+            dF.append(1j * self.k * dF[-1])
+        tab = np.array([dF, dF])
         if self.N % 2 == 0:
-            dF[-1] = 0.0
-        self._dwr = w * dF.real / self.N
-        self._dwi = w * dF.imag / self.N
+            tab[0, :, -1] = 0.0
+        self._re = w * tab.real / self.N
+        self._im = w * tab.imag / self.N
 
-    def _series(self, theta, wr, wi):
-        # a float for a scalar theta, an array for an array of any size
+    def _series(self, theta, order, nyquist):
+        # a float for a scalar theta and order, an array for an array theta of
+        # any size, one row per order for a sequence of orders
         theta = np.asarray(theta, dtype=float)
+        ny = np.asarray(nyquist, dtype=int)
         ang = np.outer(theta, self.k)
-        out = np.cos(ang) @ wr - np.sin(ang) @ wi
+        out = np.cos(ang) @ self._re[ny, order].T - np.sin(ang) @ self._im[ny, order].T
+        if np.ndim(order):
+            return out.T
         return out if theta.ndim else float(out[0])
 
     def __call__(self, theta):
-        return self._series(theta, self._wr, self._wi)
+        return self._series(theta, 0, True)
 
-    def derivative(self, theta):
-        return self._series(theta, self._dwr, self._dwi)
+    def derivative(self, theta, order=1, nyquist=False):
+        """d^order/dtheta^order of the interpolant (order <= 3), with its
+        Nyquist mode dropped unless `nyquist`.  A sequence of orders (with a
+        matching sequence of flags) gives one row per order from one table of
+        cosines and sines."""
+        return self._series(theta, order, nyquist)
 
 
 # ---------------------------------------------------------------------------

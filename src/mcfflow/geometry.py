@@ -12,8 +12,9 @@ lower-biased estimate of the continuum value with error O(N^-2), computed
 deterministically: for a plane body the minimum enclosing circle of the
 boundary points, for an axisymmetric body the minimum enclosing circle of the
 meridian and its mirror image in the axis.  Widths and the diameter are the
-extrema of one array function each of the normal angle, found on a direction
-grid and refined by bounded Brent on the same function.
+extrema of the width and the antipodal chord over the normal angle, found on
+a direction grid and refined together by one batched, safeguarded Newton
+iteration on the interpolant's exact derivatives (see _extrema).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import optimize
 
 from . import _solvers
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, chebyshev_ball, recentre,
@@ -82,40 +82,41 @@ def _antipodal_angle(body, t):
     return t + math.pi if body.mode == MODE_CURVE else math.pi - t
 
 
-def _width_fn(body):
-    """Width h(nu) + h(-nu) at every normal angle of the array t, from one
-    interpolant call."""
-    interp = body.interpolator()
+def _width_rows(body, t, orders, nyquist):
+    """Derivatives d^m/dt^m of the width W(t) = h(t) + h(a(t)) at every
+    normal angle of the array t, a the antipodal angle: one row per order m,
+    with the interpolant's Nyquist mode kept or dropped per row (see
+    _TrigInterp.derivative), from one interpolant call."""
+    rows = body.interpolator().derivative(
+        np.concatenate([t, _antipodal_angle(body, t)]), orders, nyquist)
+    da = (1.0 if body.mode == MODE_CURVE else -1.0) ** np.asarray(orders)  # a'^m
+    return rows[:, :len(t)] + da[:, None] * rows[:, len(t):]
 
-    def width_at(t):
-        h = interp(np.concatenate([t, _antipodal_angle(body, t)]))
-        return h[:len(t)] + h[len(t):]
-    return width_at
+
+def _width_and_chord(body, t):
+    """Width W and antipodal chord at every normal angle of the array t.
+    The chord joins the contact points of nu and -nu (for axisym, of the
+    mirror image of -nu in the meridian plane): it is W nu + D nu_perp, with
+    D = W' from the spectral derivative."""
+    w, d = _width_rows(body, t, (0, 1), (True, False))
+    return w, np.hypot(w, d)
 
 
 def width(body, direction):
     """Width h(nu) + h(-nu) in one direction (interpolated)."""
-    return float(_width_fn(body)(np.array([_direction_angle(body, direction)]))[0])
+    t = np.array([_direction_angle(body, direction)])
+    return float(_width_rows(body, t, (0,), (True,))[0, 0])
 
 
 _ROUND_RTOL = 1e-12  # grid values this close to the best are rounding-level ties
 _MAX_TIES = 8        # more ties than this: the body is round to rounding
+_XATOL = 1e-13       # refined angles are converged to this
+_MAX_ITER = 100      # a bound only: bisection alone converges in under 45
 
 
-def _extremum(body, fn, sign):
-    """(value, angle) of the minimum of sign * fn over all directions, where
-    fn maps an array of normal angles to an array of values.
-
-    The best value of fn on the search grid is refined by bounded Brent one
-    grid step either side.  So is every other grid local extremum that lies
-    within its own grid step's variation (the larger difference to a
-    neighbour) of the best: two nearly tied humps can swap order once
-    refined, and refining a hump gains at most a quarter of that variation
-    on a quadratic.  Among rounding-level ties of the best only the first is
-    refined.
-    """
-    grid = _search_grid(body)
-    v = sign * fn(grid)
+def _starts(body, v):
+    """Grid indices refined when minimizing over the grid values v (see
+    _extrema); a grid step's variation is its larger neighbour difference."""
     best = float(np.min(v))
     ties = np.flatnonzero(v <= best + _ROUND_RTOL * abs(best))
     starts = [int(np.argmin(v))]
@@ -128,22 +129,68 @@ def _extremum(body, fn, sign):
         humps = (v <= lo) & (v - (hi - v) <= best)
         humps[ties] = False
         starts += np.flatnonzero(humps).tolist()
+    return starts
+
+
+def _extrema(body):
+    """((w_minus, angle), (w_plus, angle), (diam, angle)): the extrema of
+    the width W and of the antipodal chord C = hypot(W, D) over all normal
+    angles (see _width_and_chord).
+
+    Grid stage: one interpolant call gives W and C on the search grid.  Each
+    search refines its first best grid value and every other grid local
+    extremum within its own grid step's variation of the best: nearly tied
+    humps can swap order once refined, and refining gains at most a quarter
+    of that variation on a quadratic.
+
+    Refinement: all starts go into one safeguarded Newton iteration on the
+    derivative (rtsafe, Numerical Recipes 9.4), one interpolant call per
+    iteration.  Each start keeps a bracket of one grid step either side,
+    narrowed by the sign of the derivative; an uphill Newton step, or one
+    leaving the bracket, becomes a bisection.  A start is converged once its
+    step is at most _XATOL.  The derivatives are exact for the functions as
+    evaluated: W' and W'' keep the Nyquist mode, as W does; D' and D'' drop
+    it, as D does.  Each quantity is the best of its refined and grid
+    candidates; the diameter stays a search independent of the widths.
+    """
+    grid = _search_grid(body)
     step = grid[1] - grid[0]
-    f = lambda t: sign * float(fn(np.array([t]))[0])
-    found = []
-    for i in starts:
-        t = grid[i]
-        res = optimize.minimize_scalar(f, bounds=(t - step, t + step), method="bounded",
-                                       options={"xatol": 1e-13})
-        found += [(float(res.fun), float(res.x)), (float(v[i]), float(t))]
-    value, angle = min(found)
-    return sign * value, angle
-
-
-def _width_extrema(body):
-    """((w_minus, its angle), (w_plus, its angle))."""
-    w = _width_fn(body)
-    return _extremum(body, w, 1.0), _extremum(body, w, -1.0)
+    w, c = _width_and_chord(body, grid)
+    signs = (1.0, -1.0, -1.0)  # w_minus, w_plus, diam: minimize sign * value
+    q, i = np.array([(k, j) for k, v in enumerate((w, w, c))
+                     for j in _starts(body, signs[k] * v)]).T
+    sign, chord, x = np.take(signs, q), q == 2, grid[i]
+    found = list(zip(q, sign * np.where(chord, c[i], w[i]), x))
+    lo, hi = x - step, x + step
+    value = np.empty(len(x))
+    todo = np.arange(len(x))
+    for _ in range(_MAX_ITER):
+        if not len(todo):
+            break
+        t = x[todo]
+        W, W1, W2, D, D1, D2 = _width_rows(body, t, (0, 1, 2, 1, 2, 3),
+                                           (True, True, True, False, False, False))
+        C = np.hypot(W, D)
+        C1 = (W * W1 + D * D1) / C
+        C2 = (W1 * W1 + W * W2 + D1 * D1 + D * D2 - C1 * C1) / C
+        ch, sg = chord[todo], sign[todo]
+        value[todo] = np.where(ch, C, W)
+        d1 = sg * np.where(ch, C1, W1)
+        d2 = sg * np.where(ch, C2, W2)
+        # the minimum of sign * f lies left of t where its slope is positive
+        hi[todo] = np.where(d1 > 0.0, t, hi[todo])
+        lo[todo] = np.where(d1 > 0.0, lo[todo], t)
+        newton = d2 > 0.0
+        dx = -d1 / np.where(newton, d2, 1.0)
+        done = np.abs(d1) <= _XATOL * d2  # |dx| <= _XATOL, or flat: d1 = d2 = 0
+        inside = newton & (lo[todo] < t + dx) & (t + dx < hi[todo])
+        dx = np.where(inside | done, dx, 0.5 * (lo[todo] + hi[todo]) - t)
+        done |= np.abs(dx) <= _XATOL
+        x[todo] = t + dx
+        todo = todo[~done]
+    found += zip(q, sign * value, x)
+    best = [min((v, a) for k, v, a in found if k == j) for j in range(3)]
+    return tuple((s * float(v), float(a)) for s, (v, a) in zip(signs, best))
 
 
 def min_max_width(body):
@@ -152,29 +199,8 @@ def min_max_width(body):
     Axisymmetric bodies reduce to a search over the meridian angle in
     [0, pi/2] (phi = pi/2 is the equatorial direction).
     """
-    (w_minus, _), (w_plus, _) = _width_extrema(body)
+    (w_minus, _), (w_plus, _), _ = _extrema(body)
     return w_minus, w_plus
-
-
-def _chord_fn(body):
-    """Length of the chord between the contact points of nu and -nu at every
-    normal angle of the array t, from one interpolant call and one
-    derivative call."""
-    interp = body.interpolator()
-
-    def chord_at(t):
-        s = _antipodal_angle(body, t)
-        both = np.concatenate([t, s])
-        (h1, h2), (d1, d2) = interp(both).reshape(2, -1), interp.derivative(both).reshape(2, -1)
-        if body.mode == MODE_CURVE:
-            # chord = w * nu + w' * nu_perp in the frame of nu
-            return np.hypot(h1 + h2, d1 + d2)
-        x1 = h1 * np.cos(t) - d1 * np.sin(t)
-        r1 = h1 * np.sin(t) + d1 * np.cos(t)
-        x2 = h2 * np.cos(s) - d2 * np.sin(s)
-        r2 = h2 * np.sin(s) + d2 * np.cos(s)
-        return np.hypot(x1 - x2, r1 + r2)
-    return chord_at
 
 
 def diameter(body):
@@ -183,7 +209,7 @@ def diameter(body):
     Independent of :func:`min_max_width`; for a convex body the two agree
     (the maximal chord joins contact points with antiparallel normals).
     """
-    return _extremum(body, _chord_fn(body), -1.0)[0]
+    return _extrema(body)[2][0]
 
 
 def outer_radius(body):
@@ -297,10 +323,10 @@ def shadow_measurements(body):
     """Shadow facts used by projection inequalities (n=1 and axisym n=2)."""
     if body.mode == MODE_AXISYM and body.n != 2:
         raise ValueError("shadow facts implemented for n = 1 and axisym n = 2")
-    (w_minus, t0), (w_plus, _) = _width_extrema(body)
+    (w_minus, t0), (w_plus, _), _ = _extrema(body)
     if body.mode == MODE_CURVE:
         # project onto the normal line of the minimal-width direction
-        length = float(_width_fn(body)(np.array([t0 + math.pi / 2.0]))[0])
+        length = width(body, t0 + math.pi / 2.0)
         return ShadowFacts(area=length, diam=length, w_minus=w_minus, w_plus=w_plus)
     if t0 < math.pi / 4.0:
         # min width along the axis: shadow is the disk swept by the largest orbit
@@ -310,7 +336,7 @@ def shadow_measurements(body):
     # min width equatorial: shadow is the planar profile region
     rho = body.curvature_radius()
     profile_area = float(np.sum(body.h * rho) * body.step)  # full period of the even profile * 1/2
-    diam_profile = float(np.max(_chord_fn(body)(_search_grid(body))))
+    diam_profile = float(np.max(_width_and_chord(body, _search_grid(body))[1]))
     return ShadowFacts(area=profile_area, diam=diam_profile,
                        w_minus=w_minus, w_plus=w_plus)
 
@@ -325,8 +351,7 @@ def measure(body):
                         "Euclidean body measurements do not apply")
     m = body._cache.get("measure")
     if m is None:
-        w_minus, w_plus = min_max_width(body)
-        diam = diameter(body)
+        (w_minus, _), (w_plus, _), (diam, _) = _extrema(body)
         diam_i = intrinsic_diameter(body)
         area, vol = area_and_volume(body)
         m = body._cache["measure"] = BodyMeasurements(

@@ -1,6 +1,7 @@
 """One cache per body; the array-evaluated grid stage of the widths and the
-diameter against the scalar per-direction search it replaced; and the single
-array path of each searched quantity against the scalar twin it replaced."""
+diameter against the scalar per-direction search it replaced; the batched
+Newton refinement against bounded Brent on the scalar twins it replaced; and
+the number of interpolant calls one measurement makes."""
 
 import math
 
@@ -136,26 +137,54 @@ def _two_path_reference(body):
             _two_path_extremum(body, chord, chords, -1.0))
 
 
-def _single_path_bodies():
+def _oval_slices():
+    """Elongated ovals on three grids."""
+    return [exact.angenent_oval_slice(t, N) for t in (-0.5, -3.0, -11.74, -20.0, -50.0)
+            for N in (64, 128, 256)]
+
+
+def _single_path_bodies(ovals):
     """The criterion-3 pool, the near ties, fine curves, n = 3 profiles,
-    elongated ovals on three grids, the disk and the ball."""
+    the ovals, the disk and the ball."""
     out = _pool()
     out += [bodies.random_convex_curve(96, s, amplitude=a) for s, a in NEAR_TIES]
     out += [bodies.random_convex_curve(256, seed=s) for s in range(5)]
     out += [bodies.random_convex_profile(3, 64, seed=s) for s in range(5)]
-    out += [exact.angenent_oval_slice(t, N) for t in (-0.5, -3.0, -11.74, -20.0, -50.0)
-            for N in (64, 128, 256)]
+    out += ovals
     out += [exact.sphere_slice(1, -1.0, 64), exact.sphere_slice(2, -1.0, 64)]
     return out
 
 
+def _chord_and_slope(body, t):
+    """(C, dC/dt) of the antipodal chord at the normal angle t, from the
+    interpolant's exact derivatives: W' keeps the Nyquist mode, as W does,
+    and D' drops it, as the spectral derivative D does."""
+    interp = body.interpolator()
+    s, a = _antipode(body, t), (1.0 if body.mode == "curve" else -1.0)
+    w = interp(t) + interp(s)
+    w1 = interp.derivative(t, 1, True) + a * interp.derivative(s, 1, True)
+    d = interp.derivative(t) + a * interp.derivative(s)
+    d1 = interp.derivative(t, 2) + interp.derivative(s, 2)
+    c = math.hypot(w, d)
+    return c, (w * w1 + d * d1) / c
+
+
 def test_single_array_path_matches_scalar_twin():
-    for body in _single_path_bodies():
+    ovals = _oval_slices()
+    for body in _single_path_bodies(ovals):
         w_minus, w_plus, diam = _two_path_reference(body)
         m = geometry.measure(body)
         assert m.w_minus == pytest.approx(w_minus, rel=1e-14, abs=0.0)
         assert m.w_plus == pytest.approx(w_plus, rel=1e-14, abs=0.0)
-        assert m.diam == pytest.approx(diam, rel=1e-14, abs=0.0)
+        if body in ovals:
+            # Newton converges onto a larger chord than where Brent stopped
+            # (+4.1e-12 at t = -50, N = 256): a stationary point of the chord
+            assert diam * (1.0 - 1e-14) <= m.diam <= diam * (1.0 + 1e-11)
+            chord, slope = _chord_and_slope(body, geometry._extrema(body)[2][1])
+            step = geometry._search_grid(body)[1] - geometry._search_grid(body)[0]
+            assert abs(slope) * step <= 1e-12 * chord
+        else:
+            assert m.diam == pytest.approx(diam, rel=1e-14, abs=0.0)
 
 
 def test_interpolant_returns_arrays_for_arrays():
@@ -210,3 +239,26 @@ def test_harnack_quantity_on_rescaled_flow(oval_exact_traj):
     assert np.all(np.isfinite(vals)) and low == float(np.min(vals))
     fld = dg.curvature_field(rf.slices[i])
     np.testing.assert_array_equal(fld.kappa_profile, fld.lambdas[:, 0])
+
+
+def test_measure_makes_few_interpolant_calls(monkeypatch):
+    # a timing-free guard on the cost of measure: the batched refinement
+    # makes at most 7 interpolant calls per body here, a scalar minimizer
+    # per start (bounded Brent) up to 157
+    pool = [bodies.random_convex_curve(96, seed=s, amplitude=0.25 + 0.65 * (s % 10) / 10.0)
+            for s in range(100)]
+    pool += [bodies.random_convex_profile(2, 64, seed=s, amplitude=0.25 + 0.65 * (s % 8) / 8.0)
+             for s in range(40)]
+    pool += [exact.angenent_oval_slice(t, 128) for t in (-0.5, -5.0, -50.0)]
+    calls = []
+    for name in ("__call__", "derivative"):
+        method = getattr(bodies._TrigInterp, name)
+
+        def counted(*args, _method=method, **kwargs):
+            calls.append(1)
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(bodies._TrigInterp, name, counted)
+    for body in pool:
+        calls.clear()
+        geometry.measure(body)
+        assert len(calls) <= 10

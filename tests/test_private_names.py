@@ -66,4 +66,4 @@ def test_private_definitions_are_seen():
     found = set()
     for tree in TREES.values():
         found |= set(_definitions(tree))
-    assert {"_TrigInterp", "_extremum", "_ROUND_RTOL", "_dumps"} <= found
+    assert {"_TrigInterp", "_extrema", "_ROUND_RTOL", "_dumps"} <= found

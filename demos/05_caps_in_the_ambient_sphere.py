@@ -23,10 +23,10 @@ print(f"ambient sphere radius R = {R} (sectional curvature K = {K:.4f}), n = {n}
 ctrl = engine.FlowControls(max_dt=0.05, stop_rho_plus=1e-6, snapshot_stride=8)
 rho0 = exact.cap_radius(R, n, -20.0)
 run = engine.evolve_cap(R, rho0, -20.0, ctrl, n=n, t_stop=-0.1)
-print(f"\ncap integrated over [{run.times()[0]:.1f}, {run.times()[-1]:.1f}], "
+print(f"\ncap evolved over [{run.times()[0]:.1f}, {run.times()[-1]:.1f}], "
       f"{len(run.slices)} snapshots")
 worst = max(abs(sl.body.rho - exact.cap_radius(R, n, sl.t)) for sl in run.slices)
-print(f"  max |rho_num - closed form| = {worst:.2e}")
+print(f"  max |rho - cap_radius(R, n, t)| = {worst:.2e}")
 
 print("\n  t        rho        H          rho/(pi R/2)")
 for sl in run.slices[:: max(1, len(run.slices) // 8)]:

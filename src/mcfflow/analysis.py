@@ -385,6 +385,8 @@ def type_two_rescale(traj, window):
         raise WindowNotCoveredError(f"window [-{k}, -1] not covered by "
                                     f"[{ts[0]:.3g}, {ts[-1]:.3g}]")
     idx = [i for i, t in enumerate(ts) if -k * (1.0 + 1e-9) <= t <= -1.0 + 1e-9]
+    if not idx:  # also a window below 1 or nan
+        raise WindowNotCoveredError(f"no snapshot in the window [-{k}, -1]")
     best_val = -math.inf
     best = None
     for i in idx:  # ascending t: later t wins ties via >=

@@ -387,6 +387,11 @@ class CapState:
         return sphere_surface_area(self.n) * (self.R * math.sin(self.rho / self.R)) ** self.n
 
 
+def _cap_geodesic_radius(R, n, tau):
+    """Geodesic radius of the shrinking cap in S^(n+1)_R at tau = t - T <= 0."""
+    return R * math.acos(math.exp(n * tau / (R * R)))
+
+
 # ---------------------------------------------------------------------------
 # seeded random convex bodies (property-test generators)
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bodies import CapState, MODE_CURVE, d1_periodic, d1_reflect, sphere_surface_area
 from .engine import TimeSlice
@@ -173,26 +172,43 @@ class DeficitField:
     def lp_integral(self, p):
         """int f^p dmu (positive part); may underflow for large p -- prefer
         log_lp_integral there."""
+        _require_exponent(p)
         pos = np.maximum(self.values, 0.0)
         return float(np.sum(pos ** p * self.dmu))
 
-    def log_lp_integral(self, p):
-        """log int f_+^p dmu, computed stably; -inf when f <= 0 everywhere."""
+    def _log_weights(self, p):
+        """log(f^p dmu) on the samples with f > 0, and their mask."""
+        _require_exponent(p)
         pos = self.values > 0.0
-        if not np.any(pos):
+        return p * np.log(self.values[pos]) + np.log(self.dmu[pos]), pos
+
+    def log_lp_integral(self, p):
+        """log int f_+^p dmu, computed stably; -inf when f <= 0 everywhere.
+
+        The tied maxima are split off as log(count); the rest is summed over
+        the whole array, the maxima as zeros, in numpy's pairwise order."""
+        logs, _ = self._log_weights(p)
+        if logs.size == 0:
             return -math.inf
-        logs = p * np.log(self.values[pos]) + np.log(self.dmu[pos])
-        return float(logsumexp(logs))
+        top_value = np.max(logs)
+        top = logs == top_value
+        m = np.count_nonzero(top)
+        s = np.sum(np.exp(np.where(top, -np.inf, logs - top_value))) / m
+        return float(np.log1p(s) + np.log(m) + top_value)
 
     def weighted_mean(self, quantity, p):
         """Mean of `quantity` under the weights f_+^p dmu (stable softmax)."""
-        pos = self.values > 0.0
-        if not np.any(pos):
+        logs, pos = self._log_weights(p)
+        if logs.size == 0:
             return 0.0
-        logs = p * np.log(self.values[pos]) + np.log(self.dmu[pos])
         w = np.exp(logs - np.max(logs))
         w /= np.sum(w)
         return float(np.sum(w * np.asarray(quantity)[pos]))
+
+
+def _require_exponent(p):
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be finite and positive")
 
 
 def umbilic_deficit(slice_or_body, sigma):
@@ -201,6 +217,8 @@ def umbilic_deficit(slice_or_body, sigma):
     Zero exactly at umbilic samples (spread below the umbilic tolerance is
     clamped, so round slices report 0 rather than roundoff); requires H > 0.
     """
+    if not 0.0 <= sigma <= 2.0:
+        raise ValueError("sigma must lie in [0, 2]")
     field = curvature_field(slice_or_body)
     _require_positive_H(field)
     vals = (field.A2 - field.H ** 2 / field.n) / field.H ** (2.0 - sigma)
@@ -482,8 +500,7 @@ def ambient_pinching(cap_traj, b=None, eps=1.0):
     """
     if cap_traj.engine != "cap":
         raise ValueError("ambient pinching applies to cap trajectories")
-    R = cap_traj.meta.get("R") or cap_traj.slices[0].body.R
-    K = 1.0 / (R * R)
+    K = cap_traj.slices[0].body.ambient_curvature
     n = cap_traj.n
     if b is None:
         b = ambient_pinching_b(n, K, eps)

@@ -36,11 +36,10 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import geometry
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, NonConvexBodyError,
-                     d1_reflect4, d2_periodic4, d2_reflect4, recentre)
+                     _cap_geodesic_radius, d1_reflect4, d2_periodic4, d2_reflect4, recentre)
 
 
 class ConvexityLostError(RuntimeError):
@@ -337,62 +336,36 @@ def _extinction_estimate(records, n):
 # ---------------------------------------------------------------------------
 
 def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
-    """Evolve a geodesic cap: d rho/dt = -(n/R) cot(rho/R).
+    """Evolve a geodesic cap, d rho/dt = -(n/R) cot(rho/R), by its closed form
+    cos(rho/R) = e^(n (t - T)/R^2), the extinction time T fixed by rho0 at t0.
 
-    Integrates from t0 toward t_stop (default: forward until the geodesic
-    radius falls below stop_rho_plus).  rho0 = pi*R/2 is the equator, a
-    stationary solution, and returns a constant trajectory with H = 0.
-    Backward integration (t_stop < t0) approaches the equator monotonically.
+    Samples from t0 toward t_stop (default: forward until the geodesic radius
+    falls to stop_rho_plus, whose time is the last slice).  rho0 = pi*R/2 is
+    the equator, the stationary member (T = inf), with H = 0.  Backward runs
+    (t_stop < t0) approach the equator monotonically.
     """
-    if R <= 0.0:
-        raise ValueError("ambient radius must be positive")
-    upper = math.pi * R / 2.0
-    if not 0.0 < rho0 <= upper * (1.0 + 1e-12):
-        raise ValueError("rho0 must lie in (0, pi*R/2]")
+    start = CapState(R, n, rho0)  # validates R, n and rho0 <= pi R/2 (clamped)
     if t0 >= 0.0:
         raise ValueError("t0 must be negative")
-    rho0 = min(rho0, upper)
     snap_step = controls.max_dt * controls.snapshot_stride
 
-    equator = abs(rho0 - upper) <= 1e-12 * R
     if t_stop is None:
-        t_stop = -1e-6 if not equator else t0 + 100.0 * snap_step
+        t_stop = t0 + 100.0 * snap_step if start.is_equator else -1e-6
     if t_stop >= 0.0:
         t_stop = -1e-9
     if t_stop == t0:
-        raise ValueError("empty integration window")
+        raise ValueError("empty time window: t_stop equals t0")
 
     count = max(2, int(abs(t_stop - t0) / snap_step) + 1)
-    times = np.linspace(t0, t_stop, count)
-
-    if equator:
-        slices = [TimeSlice(float(t), CapState(R, n, upper)) for t in np.sort(times)]
-        return Trajectory(slices, "cap", n, None,
-                          {"engine": "cap", "R": R, "equator": True,
-                           "controls": controls, "user_t0": t0})
-
-    def rhs(_, y):
-        return [-(n / R) / math.tan(y[0] / R)]
-
-    hit_floor = lambda _, y: y[0] - controls.stop_rho_plus
-    hit_floor.terminal = True
-    hit_floor.direction = -1.0
-
-    sol = solve_ivp(rhs, (t0, t_stop), [rho0], method="DOP853",
-                    rtol=1e-13, atol=1e-16, dense_output=True,
-                    events=hit_floor if t_stop > t0 else None,
-                    max_step=abs(t_stop - t0) / 8.0)
-    if not sol.success:
-        raise StepFailedError(f"cap integration failed: {sol.message}")
-    t_reached = sol.t[-1]
-    times = times[(times - t_reached) * np.sign(t_stop - t0) <= 0.0]
-    if times[-1] != t_reached:
-        times = np.append(times, t_reached)
-    rhos = sol.sol(times)[0]
-    order = np.argsort(times)
-    slices = [TimeSlice(float(times[i]), CapState(R, n, float(np.clip(rhos[i], 1e-300, upper))))
-              for i in order]
+    times = np.sort(np.linspace(t0, t_stop, count))
+    scale = R * R / n
+    T = math.inf if start.is_equator else t0 - scale * math.log(math.cos(start.rho / R))
+    if t_stop > t0 and not start.is_equator:  # a start at or below the floor: one slice
+        floor = controls.stop_rho_plus
+        t_floor = T + scale * math.log(math.cos(floor / R)) if floor < start.rho else t0
+        t_end = max(t0, min(t_stop, t_floor))
+        times = np.append(times[times < t_end], t_end)
+    slices = [TimeSlice(float(t), CapState(R, n, _cap_geodesic_radius(R, n, t - T)))
+              for t in times]
     return Trajectory(slices, "cap", n, None,
-                      {"engine": "cap", "R": R, "equator": False,
-                       "controls": controls, "user_t0": t0,
-                       "t_reached": float(t_reached)})
+                      {"engine": "cap", "R": R, "controls": controls, "user_t0": t0})

@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from ._solvers import bisect_increasing
-from .bodies import CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, shift_support
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, _cap_geodesic_radius,
+                     shift_support)
 from .engine import TimeSlice, Trajectory
 
 _FAMILIES = ("sphere", "cylinder", "grim-reaper", "oval", "cap", "equator")
@@ -211,7 +212,7 @@ def cap_radius(R, n, t):
     if n < 1:
         raise ValueError("dimension must be >= 1")
     _require_ancient(t)
-    return R * math.acos(math.exp(n * t / (R * R)))
+    return _cap_geodesic_radius(R, n, t)
 
 
 def cap_slice(R, n, t):

@@ -182,3 +182,40 @@ def test_input_body_errors_map_to_bad_input(monkeypatch, inputs, error):
 
     monkeypatch.setattr(cli.geometry, "measure", fail)
     assert cli.main(["geom", "--body", paths["curve"]]) == 2
+
+
+@pytest.fixture(scope="module")
+def oval_windows(tmp_path_factory):
+    """The exact oval at 5 times in [-3, -1], and at t = -3 and -0.5 only."""
+    d = tmp_path_factory.mktemp("windows")
+    paths = {}
+    for name, times in (("five", np.linspace(-3.0, -1.0, 5)), ("gap", [-3.0, -0.5])):
+        paths[name] = str(d / f"{name}.jsonl")
+        trajio.write_trajectory(exact.sample_trajectory(exact.ExactFamily("oval"), times, 64),
+                                paths[name])
+    return d, paths
+
+
+@pytest.mark.parametrize("name, window", [("five", "0.5"), ("five", "-1"), ("five", "nan"),
+                                          ("five", "inf"), ("gap", "2")])
+def test_rescale_window_without_snapshots_is_bad_input(oval_windows, name, window, capsys):
+    # a window below 1, not finite, or holding no snapshot selects nothing
+    d, paths = oval_windows
+    assert cli.main(["rescale", "--traj", paths[name], "--window", window,
+                     "--out", str(d / "o"), "--report", str(d / "r")]) == 2
+    assert "window" in capsys.readouterr().err
+    assert cli.main(["rescale", "--traj", paths["five"], "--window", "3",
+                     "--out", str(d / "o"), "--report", str(d / "r")]) == 0
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--p", "0", "p must be"), ("--p", "-1", "p must be"), ("--p", "nan", "p must be"),
+    ("--p", "inf", "p must be"), ("--sigma", "-1", "sigma must"),
+    ("--sigma", "2.5", "sigma must"), ("--sigma", "nan", "sigma must")])
+def test_diagnose_exponents_out_of_range_are_bad_input(inputs, option, value, message,
+                                                       capsys):
+    d, paths = inputs
+    argv = ["diagnose", "--traj", paths["curve_traj"], "--out", str(d / "o")]
+    assert cli.main(argv + [option, value]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(argv) == 0

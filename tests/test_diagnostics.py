@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mcfflow import bodies, diagnostics as dg, engine, exact
 from oracles import cubic_excess_pairform
@@ -106,6 +107,40 @@ def test_umbilic_deficit_rejects_flat_H():
     cap = engine.TimeSlice(-1.0, exact.equator_slice(1.0, 2))
     with pytest.raises(dg.NonPositiveCurvatureError):
         dg.umbilic_deficit(cap, 0.5)
+
+
+def test_log_lp_integral_is_scipy_logsumexp_bit_for_bit():
+    # oracle: scipy.special.logsumexp of log(f^p dmu) over the samples with
+    # f > 0; every third array has tied maxima
+    rng = np.random.default_rng(20)
+    for i in range(2000):
+        size = int(rng.integers(1, 300))
+        values = rng.lognormal(size=size) * rng.choice([1.0, -1.0], size=size, p=[0.8, 0.2])
+        dmu = rng.random(size)
+        if i % 3 == 0 and size > 2:
+            tied = rng.choice(size, int(rng.integers(2, min(size, 6) + 1)), replace=False)
+            values[tied] = abs(values[tied[0]]) + 1.0
+            dmu[tied] = dmu[tied[0]]
+        p = float(rng.uniform(0.5, 8.0))
+        pos = values > 0.0
+        if not pos.any():
+            continue
+        expected = float(logsumexp(p * np.log(values[pos]) + np.log(dmu[pos])))
+        assert dg.DeficitField(values, dmu).log_lp_integral(p) == expected
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_deficit_exponent_must_be_finite_and_positive(p):
+    d = dg.umbilic_deficit(bodies.random_convex_curve(32, seed=1), 0.5)
+    for integral in (d.lp_integral, d.log_lp_integral):
+        with pytest.raises(ValueError, match="p must be"):
+            integral(p)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, 2.5, math.nan])
+def test_umbilic_deficit_sigma_range(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        dg.umbilic_deficit(bodies.random_convex_curve(32, seed=1), sigma)
 
 
 def test_kconvex_deficit_signs():

@@ -213,6 +213,16 @@ def test_evolve_cap_equator_is_stationary():
         assert sl.body.mean_curvature() == 0.0
 
 
+@pytest.mark.parametrize("rho0", [0.1, 0.05])
+def test_evolve_cap_start_at_or_below_the_floor(rho0):
+    # a forward run from at or below stop_rho_plus is its start alone; from
+    # below, the floor time would lie before t0 (R = 3: extinction at t0 + 6e-4)
+    ctrl = engine.FlowControls(stop_rho_plus=0.1)
+    traj = engine.evolve_cap(3.0, rho0, -1.0, ctrl, n=2)
+    assert traj.times().tolist() == [-1.0]
+    assert traj.slices[0].body.rho == pytest.approx(rho0, rel=1e-12)
+
+
 def test_evolve_cap_rejects_bad_radius():
     ctrl = engine.FlowControls()
     with pytest.raises(ValueError):

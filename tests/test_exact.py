@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.integrate import solve_ivp
 
-from mcfflow import exact
+from mcfflow import engine, exact
 from mcfflow.exact import ExactFamily
 
 
@@ -128,6 +128,31 @@ def test_cap_radius_against_ode_oracle():
                     dense_output=True)
     for t in (-0.5, -0.1, -0.05):
         assert sol.sol(t)[0] == pytest.approx(exact.cap_radius(R, n, t), abs=1e-9)
+
+    # evolve_cap from a start off the t = 0 family, forward to the floor
+    # rho = 1/2 and backward to t = -20
+    R, n, rho0, t0, floor = 2.0, 3, 1.1, -2.0, 0.5
+    ctrl = engine.FlowControls(max_dt=0.01, stop_rho_plus=floor, snapshot_stride=2)
+
+    def hit_floor(t, y):
+        return y[0] - floor
+    hit_floor.terminal = True
+
+    for t_stop in (None, -20.0):
+        traj = engine.evolve_cap(R, rho0, t0, ctrl, n=n, t_stop=t_stop)
+        ts = traj.times()
+        sol = solve_ivp(lambda t, y: [-(n / R) / math.tan(y[0] / R)],
+                        (t0, -1e-6 if t_stop is None else t_stop), [rho0],
+                        method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
+                        events=hit_floor if t_stop is None else None)
+        rhos = np.array([sl.body.rho for sl in traj.slices])
+        assert len(ts) > 5
+        np.testing.assert_allclose(rhos, sol.sol(ts)[0], rtol=1e-10, atol=0.0)
+        if t_stop is None:
+            assert ts[-1] == pytest.approx(sol.t_events[0][0], abs=1e-10)
+            assert rhos[-1] == pytest.approx(floor, rel=1e-10)
+        else:
+            assert ts[0] == t_stop
 
 
 def test_cap_equator_limit():

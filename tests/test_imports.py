@@ -1,13 +1,17 @@
-"""Every module-level import in the package modules is used.
+"""Every module-level import in the package modules is used, and importing
+the package loads no scipy module.
 
 No linter runs on this code base, so unused imports are found here: a name
 bound by an import at module level must appear again in the module (an
 attribute's base counts).  `__init__` is left out, since its imports are
-the package's public names.
+the package's public names.  scipy is a test-only oracle.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +32,15 @@ def test_module_imports_are_used(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded by the oracles
+    root = str(pathlib.Path(mcfflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, mcfflow; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 
-from . import geometry
-from .bodies import MODE_CURVE, recentre, shift_support
-from .diagnostics import H_FLOOR, curvature_field, type_quantities, umbilic_deficit
+from .bodies import CapState, MODE_CURVE, recentre, shift_support
+from .diagnostics import (H_FLOOR, _Series, _type_quantities, curvature_field,
+                          umbilic_deficit)
 from .engine import TimeSlice
 
 
@@ -137,19 +137,13 @@ def check_conditions(traj, rule=None):
     """Evaluate the sphere-characterization conditions on a trajectory."""
     rule = rule or VerdictRule()
     _require_two_decades(traj)
-    tq = type_quantities(traj)
+    s = _Series(traj)
+    tq = _type_quantities(traj, s)
     neg_t = -tq.times
     conditions = {}
 
-    f0_max = []
-    eps_margin = []
-    for sl in traj.slices:
-        fld = curvature_field(sl)
-        f0_max.append(max(0.0, fld.ahh_max() - 1.0 / traj.n))
-        if traj.n >= 2:
-            eps_margin.append(1.0 / max(fld.eps_min(), 1e-300))
     if traj.n >= 2:
-        eps_margin = np.array(eps_margin)
+        eps_margin = 1.0 / np.maximum(s["eps_min"], 1e-300)
         conditions["ii"] = ConditionEntry(tq.times, eps_margin,
                                           float(np.max(eps_margin)),
                                           _loglog_slope(neg_t, np.maximum(eps_margin, 1e-300)),
@@ -170,7 +164,7 @@ def check_conditions(traj, rule=None):
     return ConditionReport(window=(float(tq.times[0]), float(tq.times[-1])),
                            n=traj.n, conditions=conditions,
                            sphericity_times=tq.times,
-                           sphericity_f0_max=np.array(f0_max))
+                           sphericity_f0_max=s["f0"])
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +230,10 @@ def pinching_decay_check(traj, sigma, p, slack_tol=0.01):
     """
     ts = traj.times()
     n = traj.n
-    eps = math.inf
-    for sl in traj.slices:
-        fld = curvature_field(sl)
-        if np.min(fld.H) <= H_FLOOR:
-            raise NotKConvexError("slice with H <= 0; not a pinched convex flow")
-        eps = min(eps, fld.eps_min())
+    s = _Series(traj)
+    if np.any(s["minH"] <= H_FLOOR):
+        raise NotKConvexError("slice with H <= 0; not a pinched convex flow")
+    eps = float(np.min(s["eps_min"]))
     if eps <= 0.0:
         raise ParameterGateViolatedError("flow is not uniformly pinched")
     _check_gates(eps, n, sigma, p)
@@ -313,36 +305,28 @@ def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
     """
     rule = rule or VerdictRule()
     _require_two_decades(traj)
-    ts = traj.times()
+    if any(isinstance(sl.body, CapState) for sl in traj.slices):
+        raise TypeError("diameter and curvature decay apply to Euclidean trajectories")
+    s = _Series(traj)
+    ts = s["t"]
     neg_t = -ts
-    diam_m, hu, hl, diam_i = [], [], [], []
-    for sl in traj.slices:
-        fld = curvature_field(sl)
-        m = geometry.measure(sl.body)
-        diam_m.append(m.diam / (1.0 + math.sqrt(-sl.t)))
-        diam_i.append(m.diam_I)
-        hu.append(math.sqrt(-sl.t) * float(np.max(fld.H)))
-        hl.append(math.sqrt(-sl.t) * float(np.min(fld.H)))
-    diam_m = np.array(diam_m)
-    hu = np.array(hu)
-    hl = np.array(hl)
-    diam_i = np.array(diam_i)
+    diam_m = s["diam_growth"]
+    hu = s["typeI"]
+    hl = s["sqrt_neg_t"] * s["minH"]
 
     diam_verdict = rule.classify("iii", neg_t, diam_m)
     # two-sided curvature margin: upper ratio and inverse lower ratio
     curv_margin = np.maximum(hu, 1.0 / np.maximum(hl, 1e-300))
     curvature_verdict = rule.classify("curvature", neg_t, curv_margin)
 
-    c = float(np.max(diam_i / np.sqrt(neg_t)))
+    c = float(np.max(s["diam_I"] / s["sqrt_neg_t"]))
     transfer = 0.0
-    Hmax = {i: float(np.max(curvature_field(traj.slices[i]).H)) for i in range(len(ts))}
-    Hmin = {i: float(np.min(curvature_field(traj.slices[i]).H)) for i in range(len(ts))}
     for i, t in enumerate(ts):
         target = t / 2.0
         j = int(np.argmin(np.abs(ts - target)))
         if abs(ts[j] - target) > pair_rtol * abs(target):
             continue
-        transfer = max(transfer, Hmax[i] / (math.exp(c * c / 2.0) * Hmin[j]))
+        transfer = max(transfer, s["maxH"][i] / (math.exp(c * c / 2.0) * s["minH"][j]))
     return DiameterCurvatureReport(
         times=ts, diam_margin=diam_m, H_upper=hu, H_lower=hl,
         diam_verdict=diam_verdict, curvature_verdict=curvature_verdict,
@@ -387,27 +371,18 @@ def type_two_rescale(traj, window):
     idx = [i for i, t in enumerate(ts) if -k * (1.0 + 1e-9) <= t <= -1.0 + 1e-9]
     if not idx:  # also a window below 1 or nan
         raise WindowNotCoveredError(f"no snapshot in the window [-{k}, -1]")
+    series = _Series(traj)["typeI"][idx]
     best_val = -math.inf
-    best = None
-    for i in idx:  # ascending t: later t wins ties via >=
-        fld = curvature_field(traj.slices[i])
-        j = int(np.argmax(fld.H))  # argmax returns the smallest maximizing index
-        val = math.sqrt(-ts[i]) * float(fld.H[j])
+    for i, val in zip(idx, series):  # ascending t: later t wins ties via >=
         if val >= best_val * (1.0 - 1e-12):
             best_val = val
-            best = (i, j)
-    i_k, j_k = best
+            i_k = i
     t_k = float(ts[i_k])
     base_slice = traj.slices[i_k]
     fld_k = curvature_field(base_slice)
+    j_k = int(np.argmax(fld_k.H))  # argmax returns the smallest maximizing index
     L_k = float(fld_k.H[j_k])
     x_k = base_slice.body.boundary_points()[j_k]
-
-    series = []
-    for i in idx:
-        fld = curvature_field(traj.slices[i])
-        series.append(math.sqrt(-ts[i]) * float(np.max(fld.H)))
-    series = np.array(series)
     type1 = float(np.max(series) / np.min(series)) < 1.1
 
     curve_mode = traj.slices[0].body.mode == MODE_CURVE
@@ -527,16 +502,14 @@ def kconvex_gap_check(traj, k):
         raise ValueError("k must lie in 2..n-1")
     alpha = math.inf
     margins = []
-    ratios = []
     for sl in traj.slices:
         fld = curvature_field(sl)
         alpha = min(alpha, fld.kconvex_margin(k))
         margins.append(float(np.min(fld.H ** 2 - (n - k + 1.0) * fld.A2)))
-        ratios.append(fld.ahh_max())
     if alpha <= 0.0:
         raise NotKConvexError(f"k-convexity margin {alpha:.3g} <= 0 on the window")
     margins = np.array(margins)
     return KConvexGapReport(times=traj.times(), margins=margins,
                             alpha_measured=float(alpha),
                             holds=bool(np.all(margins > 0.0)),
-                            sup_ratio=float(np.max(ratios)))
+                            sup_ratio=float(np.max(_Series(traj)["ahh"])))

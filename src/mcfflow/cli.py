@@ -173,32 +173,16 @@ _DIAG_COLUMNS = ["t", "eps_min", "f0_max", "fsigma_lp", "harnack_min", "typeI",
 
 def _cmd_diagnose(args):
     traj = trajio.read_trajectory(args.traj)
-    ts = traj.times()
-    rows = []
-    for i, sl in enumerate(traj.slices):
-        field = diagnostics.curvature_field(sl)
-        t = sl.t
-        euclidean = traj.engine != "cap"
-        if euclidean:
-            m = geometry.measure(sl.body)
-            diam, rm, rp, iso = m.diam, m.rho_minus, m.rho_plus, m.iso_ratio
-        else:
-            diam = rm = rp = iso = None
-        positive = float(np.min(field.H)) > diagnostics.H_FLOOR
-        if positive:
-            deficit = diagnostics.umbilic_deficit(sl, args.sigma)
-            f0 = max(0.0, field.ahh_max() - 1.0 / field.n)
-            flp = deficit.lp_integral(args.p) ** (1.0 / args.p)
-            eps = field.eps_min()
-        else:
-            f0 = flp = eps = None
-        hmin = None
-        if 0 < i < len(ts) - 1:
-            _, hmin = diagnostics.harnack_quantity(traj, ts[i])
-        grad = float(np.max(field.grad_A2 / np.maximum(field.A2, 1e-300) ** 2))
-        rows.append([t, eps, f0, flp, hmin,
-                     math.sqrt(-t) * float(np.max(field.H)) if t < 0 else None,
-                     diam, rm, rp, iso, grad])
+    s = diagnostics._Series(traj)
+    ts = s["t"]
+    positive = s["minH"] > diagnostics.H_FLOOR
+    flp = [diagnostics.umbilic_deficit(sl, args.sigma).lp_integral(args.p) ** (1.0 / args.p)
+           if pos else math.nan for sl, pos in zip(traj.slices, positive)]
+    columns = [ts, np.where(positive, s["eps_min"], math.nan),
+               np.where(positive, s["f0"], math.nan), flp, s["harnack_min"],
+               np.where(ts < 0.0, s["typeI"], math.nan), s["diam"], s["rho_minus"],
+               s["rho_plus"], s["iso_ratio"], s["grad_ratio"]]
+    rows = [[None if math.isnan(v) else v for v in row] for row in zip(*columns)]
     trajio.emit_report({"columns": _DIAG_COLUMNS, "rows": rows}, args.out, format="csv")
     summary = {"slices": len(rows), "window": [float(ts[0]), float(ts[-1])],
                "sigma": args.sigma, "p": args.p}

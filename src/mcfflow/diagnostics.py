@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from . import geometry
 from .bodies import CapState, MODE_CURVE, d1_periodic, d1_reflect, sphere_surface_area
 from .engine import TimeSlice
 
@@ -314,13 +315,20 @@ def harnack_quantity(traj, t):
         raise ValueError("t must match a snapshot time")
     if i == 0 or i == len(ts) - 1:
         raise ValueError("Harnack derivative needs an interior snapshot time")
-    Hm = curvature_field(traj.slices[i - 1]).H
-    Hp = curvature_field(traj.slices[i + 1]).H
-    field = curvature_field(traj.slices[i])
-    dHdt_nu = (Hp - Hm) / (ts[i + 1] - ts[i - 1])
-    drift = field.grad_H2 / field.kappa_profile
-    vals = dHdt_nu + drift - field.grad_H2 / field.H
+    vals = _harnack([curvature_field(sl) for sl in traj.slices[i - 1:i + 2]], ts[i - 1:i + 2], 1)
     return vals, float(np.min(vals))
+
+
+def _harnack(fields, ts, i):
+    """The Harnack quantity on fields[i], the fields of snapshots at times ts."""
+    dHdt_nu = (fields[i + 1].H - fields[i - 1].H) / (ts[i + 1] - ts[i - 1])
+    drift = _quotient(fields[i].grad_H2, fields[i].kappa_profile)
+    return dHdt_nu + drift - _quotient(fields[i].grad_H2, fields[i].H)
+
+
+def _quotient(num, den):
+    """num / den, and 0 wherever num == 0, so an equator's 0/0 reads 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +349,6 @@ class TypeQuantities:
         return float(np.max(self.sqrt_t_maxH))
 
     @property
-    def diam_growth(self):
-        return float(np.max(self.diam_over_growth))
-
-    @property
     def radius_ratio_sup(self):
         return float(np.max(self.radius_ratio))
 
@@ -357,30 +361,72 @@ class TypeQuantities:
         return float(np.max(self.iso))
 
 
+class _Series(dict):
+    """The per-slice series of a trajectory, a dict of arrays (NaN: blank).
+
+    A column is computed in one walk over the slices when first read: t,
+    maxH, minH, ahh (max |A|^2/H^2), eps_min, f0, grad_ratio and harnack_min
+    (blank on the end slices) from curvature_field; diam, diam_I, rho_minus,
+    rho_plus and iso_ratio from geometry.measure (blank on caps); typeI =
+    sqrt(-t) max H and diam_growth = diam/(1+sqrt(-t)) (blank where t > 0).
+    """
+
+    def __init__(self, traj):
+        super().__init__(t=traj.times())
+        self.traj = traj
+        self.fields = [curvature_field(sl) for sl in traj.slices]
+
+    def __missing__(self, key):
+        with np.errstate(divide="ignore", invalid="ignore"):  # an equator has H = 0
+            self[key] = column = _COLUMNS[key](self)
+        return column
+
+
+def _measured(key):
+    return lambda s: np.array([math.nan if isinstance(sl.body, CapState)
+                               else getattr(geometry.measure(sl.body), key)
+                               for sl in s.traj.slices])
+
+
+_COLUMNS = {
+    "maxH": lambda s: np.array([f.H.max() for f in s.fields]),
+    "minH": lambda s: np.array([f.H.min() for f in s.fields]),
+    "ahh": lambda s: np.array([f.ahh_max() for f in s.fields]),
+    "eps_min": lambda s: np.array([f.eps_min() for f in s.fields]),
+    "f0": lambda s: np.maximum(0.0, s["ahh"] - 1.0 / s.traj.n),
+    "grad_ratio": lambda s: np.array([_quotient(f.grad_A2, np.maximum(f.A2, 1e-300) ** 2).max()
+                                      for f in s.fields]),
+    "harnack_min": lambda s: np.array([_harnack(s.fields, s["t"], i).min()
+                                       if 0 < i < len(s.fields) - 1 else math.nan
+                                       for i in range(len(s.fields))]),
+    "sqrt_neg_t": lambda s: np.sqrt(-s["t"], out=np.full(len(s["t"]), math.nan),
+                                    where=s["t"] <= 0.0),
+    "typeI": lambda s: s["sqrt_neg_t"] * s["maxH"],
+    "diam_growth": lambda s: s["diam"] / (1.0 + s["sqrt_neg_t"]),
+    **{key: _measured(key) for key in ("diam", "diam_I", "rho_minus", "rho_plus", "iso_ratio")},
+}
+
+
 def type_quantities(traj):
     """Per-slice margin series behind the sphere characterizations.
 
     Requires at least 10 slices.  Returns sqrt(-t) max H, diam/(1+sqrt(-t)),
     rho_+/rho_-, max H / min H and the isoperimetric ratio, with their sups.
     """
-    from . import geometry
+    return _type_quantities(traj, _Series(traj))
+
+
+def _type_quantities(traj, s):
+    """type_quantities of traj from its _Series table s."""
     if len(traj) < 10:
         raise ValueError("need at least 10 slices")
-    ts, s1, s2, s3, s4, s5 = [], [], [], [], [], []
-    for sl in traj.slices:
-        field = curvature_field(sl)
-        t = sl.t
-        ts.append(t)
-        s1.append(math.sqrt(-t) * float(np.max(field.H)))
-        if isinstance(sl.body, CapState):
-            raise ValueError("type quantities apply to Euclidean trajectories")
-        m = geometry.measure(sl.body)
-        s2.append(m.diam / (1.0 + math.sqrt(-t)))
-        s3.append(m.rho_plus / m.rho_minus)
-        s4.append(float(np.max(field.H) / np.min(field.H)))
-        s5.append(m.iso_ratio)
-    return TypeQuantities(np.array(ts), np.array(s1), np.array(s2),
-                          np.array(s3), np.array(s4), np.array(s5))
+    if any(isinstance(sl.body, CapState) for sl in traj.slices):
+        raise ValueError("type quantities apply to Euclidean trajectories")
+    if np.any(s["t"] > 0.0):
+        raise ValueError("type quantities need t <= 0")
+    return TypeQuantities(s["t"], s["typeI"], s["diam_growth"],
+                          s["rho_plus"] / s["rho_minus"], s["maxH"] / s["minH"],
+                          s["iso_ratio"])
 
 
 # ---------------------------------------------------------------------------
@@ -551,36 +597,27 @@ class PinchingReport:
 
 def pinching_report(traj, sigma=0.05, p_values=(2.0,), k_values=()):
     """Trajectory-level pinching summary (the diagnose CLI's record)."""
-    eps = math.inf
+    s = _Series(traj)
+    positive = s["minH"] > H_FLOOR
     fmax = 0.0
-    ahh = 0.0
-    grad = 0.0
     lp = {p: 0.0 for p in p_values}
     kmargins = {k: math.inf for k in k_values}
-    for sl in traj.slices:
-        field = curvature_field(sl)
-        if np.min(field.H) > H_FLOOR:
-            eps = min(eps, field.eps_min())
+    for sl, pos in zip(traj.slices, positive):
+        if pos:
             def_ = umbilic_deficit(sl, sigma)
             fmax = max(fmax, def_.max())
             for p in p_values:
                 lp[p] = max(lp[p], def_.lp_integral(p) ** (1.0 / p))
-        ahh = max(ahh, field.ahh_max())
-        grad = max(grad, float(np.max(field.grad_A2 / np.maximum(field.A2, 1e-300) ** 2)))
         for k in k_values:
-            kmargins[k] = min(kmargins[k], field.kconvex_margin(k))
-    ts = traj.times()
-    hmin = math.inf
-    for i in range(1, len(ts) - 1):
-        _, m = harnack_quantity(traj, ts[i])
-        hmin = min(hmin, m)
-    tq = None
+            kmargins[k] = min(kmargins[k], curvature_field(sl).kconvex_margin(k))
     try:
-        tq = type_quantities(traj)
+        typeI_sup = _type_quantities(traj, s).typeI_sup
     except ValueError:
-        pass
-    return PinchingReport(eps_min=eps, f_sigma_max=fmax, f_sigma_lp=lp,
-                          kconvex_margin=kmargins, ahh=ahh,
-                          harnack_min=hmin,
-                          typeI_sup=tq.typeI_sup if tq else math.nan,
-                          grad_ratio_max=grad)
+        typeI_sup = math.nan
+    return PinchingReport(eps_min=float(np.min(s["eps_min"][positive], initial=math.inf)),
+                          f_sigma_max=fmax, f_sigma_lp=lp,
+                          kconvex_margin=kmargins,
+                          ahh=float(np.fmax.reduce(s["ahh"], initial=0.0)),  # skips 0/0
+                          harnack_min=float(np.min(s["harnack_min"][1:-1], initial=math.inf)),
+                          typeI_sup=typeI_sup,
+                          grad_ratio_max=float(np.max(s["grad_ratio"], initial=0.0)))

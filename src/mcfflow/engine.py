@@ -364,6 +364,9 @@ def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
         floor = controls.stop_rho_plus
         t_floor = T + scale * math.log(math.cos(floor / R)) if floor < start.rho else t0
         t_end = max(t0, min(t_stop, t_floor))
+        if _cap_geodesic_radius(R, n, min(t_end - T, 0.0)) == 0.0:
+            raise ValueError(f"stop_rho_plus = {floor!r} is too small to resolve on a cap "
+                             f"of R = {R!r}: its time rounds to the extinction time")
         times = np.append(times[times < t_end], t_end)
     slices = [TimeSlice(float(t), CapState(R, n, _cap_geodesic_radius(R, n, t - T)))
               for t in times]

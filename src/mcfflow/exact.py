@@ -134,9 +134,20 @@ def grim_reaper_samples(half_width=1.2, count=257, t=0.0):
 # Angenent oval (paperclip): cos x = e^t cosh y
 # ---------------------------------------------------------------------------
 
+# the oval's closed form takes e^(-t), finite for t >= -log(DBL_MAX) ~ -709.78
+_OVAL_T_MIN = -math.log(np.finfo(float).max)
+
+
+def _require_oval_time(t):
+    _require_ancient(t)
+    if not t >= _OVAL_T_MIN:
+        raise ValueError(f"oval time t = {t!r} must be at least {_OVAL_T_MIN:.6g}, "
+                         "below which e^(-t) overflows")
+
+
 def oval_extent(t):
     """(x_half_extent, y_half_extent) of the oval at time t < 0."""
-    _require_ancient(t)
+    _require_oval_time(t)
     return math.acos(math.exp(t)), math.acosh(math.exp(-t))
 
 
@@ -153,7 +164,7 @@ def _oval_contact(t, theta):
     """Inverts the Gauss map: for each normal angle, (psi, y, u) with psi
     the angle reduced to [0, pi/2], y >= 0 the height of the contact point
     in the quarter x >= 0, and u = e^t cosh y = cos x there."""
-    _require_ancient(t)
+    _require_oval_time(t)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     y_max = math.acosh(math.exp(-t))
     # reduce by the x and y symmetries to psi in [0, pi/2]
@@ -188,7 +199,7 @@ def oval_curvature_values(t, theta):
 
 def angenent_oval_slice(t, resolution):
     """The oval at time t as a SupportProfile on the curve grid."""
-    _require_ancient(t)
+    _require_oval_time(t)
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     theta = np.arange(resolution) * (2.0 * math.pi / resolution)

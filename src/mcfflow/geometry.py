@@ -285,8 +285,16 @@ def intrinsic_diameter(body):
 
 def iso_ratio(body):
     """Scale-invariant isoperimetric ratio |M|^(n+1) / |Omega|^n."""
-    area, vol = area_and_volume(body)
-    return area ** (body.n + 1) / vol ** body.n
+    return _iso_ratio(*area_and_volume(body), body.n)
+
+
+def _iso_ratio(area, vol, n):
+    """|M|^(n+1) / |Omega|^n, as (|M|/|Omega|)^n |M| where a power leaves the
+    float range (a large n = 13 sphere overflows area^14)."""
+    try:
+        return area ** (n + 1) / vol ** n
+    except (OverflowError, ZeroDivisionError):
+        return (area / vol) ** n * area
 
 
 def reverse_iso_radius_bound(c1, n):
@@ -358,7 +366,7 @@ def measure(body):
             w_minus=w_minus, w_plus=w_plus, diam=diam, diam_I=diam_i,
             rho_minus=inner_radius(body), rho_plus=outer_radius(body),
             area=area, volume=vol,
-            iso_ratio=area ** (body.n + 1) / vol ** body.n,
+            iso_ratio=_iso_ratio(area, vol, body.n),
         )
     return m
 

@@ -21,7 +21,8 @@ from mcfflow.engine import TimeSlice
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("matrix")
     paths = {k: str(d / f"{k}.jsonl") for k in
-             ("curve", "axisym", "cap", "cap_traj", "curve_traj", "report",
+             ("curve", "axisym", "cap", "cap_traj", "equator_traj", "axisym13_traj",
+              "curve_traj", "report",
               "truncated", "four_point", "bad_controls", "list_gauge",
               "array_header")}
     assert cli.main(["exact", "--family", "sphere", "--n", "1", "--t", "-1",
@@ -37,6 +38,11 @@ def inputs(tmp_path_factory):
         "cap_traj": {"engine": "cap", "n": 2, "t0": -12.0, "t_stop": -0.5,
                      "controls": {"max_dt": 0.1, "snapshot_stride": 10},
                      "cap": {"R": 3.0, "rho0": exact.cap_radius(3.0, 2, -12.0)}},
+        "equator_traj": {"engine": "cap", "n": 2, "t0": -5.0,
+                         "cap": {"R": 1.0, "rho0": math.pi / 2.0}},
+        "axisym13_traj": {"engine": "axisym", "n": 13, "N": 32, "t0": -100.0,
+                          "controls": {"max_dt": 1.0, "stop_rho_plus": 30.0},
+                          "initial": {"family": {"kind": "sphere"}}},
         "curve_traj": {"engine": "curve", "n": 1, "N": 32, "t0": -1.0,
                        "controls": {"cfl": 0.4, "max_dt": 1e-2, "stop_rho_plus": 0.3,
                                     "snapshot_stride": 8},
@@ -88,8 +94,9 @@ def _argvs(d, path, name):
     ]
 
 
-@pytest.mark.parametrize("name", ["curve", "axisym", "cap", "cap_traj", "curve_traj",
-                                  "report", "truncated", "four_point"])
+@pytest.mark.parametrize("name", ["curve", "axisym", "cap", "cap_traj", "equator_traj",
+                                  "axisym13_traj", "curve_traj", "report", "truncated",
+                                  "four_point"])
 def test_subcommands_exit_cleanly(inputs, name, capsys):
     d, paths = inputs
     for argv in _argvs(d, paths[name], name):
@@ -219,3 +226,36 @@ def test_diagnose_exponents_out_of_range_are_bad_input(inputs, option, value, me
     assert cli.main(argv + [option, value]) == 2
     assert message in capsys.readouterr().err
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("name", ["equator_traj", "axisym13_traj"])
+def test_diagnose_reads_equator_and_n13_runs(inputs, name, capsys):
+    # an equator has H = |A| = |grad H| = 0 (0/0 in the gradient ratio and
+    # the Harnack drift); the n = 13 sphere overflows |M|^14 in iso_ratio
+    d, paths = inputs
+    assert cli.main(["diagnose", "--traj", paths[name], "--out", str(d / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_oval_times_below_the_range_of_exp_are_bad_input(tmp_path, capsys):
+    # the oval's closed form takes e^(-t), which overflows below t ~ -709.78
+    out = str(tmp_path / "x.jsonl")
+    argv = ["exact", "--family", "oval", "--n", "1", "--resolution", "32", "--out", out]
+    assert cli.main(argv + ["--t", "-900"]) == 2
+    assert "t = -900" in capsys.readouterr().err
+    cfg = tmp_path / "oval.json"
+    cfg.write_text(json.dumps({"engine": "curve", "n": 1, "N": 32, "t0": -900.0,
+                               "initial": {"family": {"kind": "oval"}}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert "t = -900" in capsys.readouterr().err
+    assert cli.main(argv + ["--t", "-709"]) == 0
+
+
+def test_cap_floor_below_resolution_names_the_control(tmp_path, capsys):
+    # cos(stop_rho_plus / R) rounds to 1, so the floor time is the extinction time
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"engine": "cap", "n": 2, "t0": -5.0,
+                               "controls": {"stop_rho_plus": 1e-9},
+                               "cap": {"R": 3.0, "rho0": 1.0}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "stop_rho_plus" in capsys.readouterr().err

@@ -302,6 +302,20 @@ def test_iso_ratio_values():
         36.0 * math.pi, rel=1e-3)
 
 
+def test_iso_ratio_beyond_the_float_range_of_its_powers():
+    # |M|^14 of the n = 13 sphere at t = -100 overflows; the ratio is the
+    # scale-free sigma_13 14^13 ~ 6.66e15 of every round 13-sphere
+    body = exact.sphere_slice(13, -100.0, 32)
+    area, vol = geometry.area_and_volume(body)
+    ratio = geometry.measure(body).iso_ratio
+    assert ratio == geometry.iso_ratio(body) == (area / vol) ** 13 * area
+    assert ratio == pytest.approx(bodies.sphere_surface_area(13) * 14.0 ** 13, rel=1e-12)
+    # where the powers are finite the ratio is the plain quotient
+    small = exact.sphere_slice(13, -1.0, 32)
+    area, vol = geometry.area_and_volume(small)
+    assert geometry.measure(small).iso_ratio == area ** 14 / vol ** 13
+
+
 def test_iso_ratio_scale_invariant():
     body = bodies.random_convex_curve(128, seed=13)
     r1 = geometry.iso_ratio(body)

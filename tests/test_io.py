@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mcfflow import bodies, cli, engine, exact, trajio
+from mcfflow import bodies, cli, diagnostics, engine, exact, geometry, trajio
 
 
 @pytest.fixture
@@ -211,6 +211,90 @@ def test_cli_diagnose_row_count(tmp_path, capsys):
     assert run_cli("diagnose", "--traj", str(tp), "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + len(traj.slices)  # header + one row per slice
+
+
+_DIAGNOSE_RUNS = {
+    "curve": {"engine": "curve", "n": 1, "N": 32, "t0": -1.0,
+              "controls": {"cfl": 0.4, "max_dt": 1e-2, "stop_rho_plus": 0.3,
+                           "snapshot_stride": 8},
+              "initial": {"random": {"seed": 3, "amplitude": 0.3}}},
+    "axisym": {"engine": "axisym", "n": 2, "N": 32, "t0": -1.0,
+               "controls": {"cfl": 0.3, "max_dt": 1e-2, "stop_rho_plus": 0.4,
+                            "snapshot_stride": 16},
+               "initial": {"random": {"seed": 4, "amplitude": 0.2, "radius": 1.4}}},
+    "axisym13": {"engine": "axisym", "n": 13, "N": 32, "t0": -100.0,
+                 "controls": {"max_dt": 1.0, "stop_rho_plus": 30.0},
+                 "initial": {"family": {"kind": "sphere"}}},
+    "cap": {"engine": "cap", "n": 2, "t0": -2.0,
+            "controls": {"max_dt": 0.05, "snapshot_stride": 4, "stop_rho_plus": 0.5},
+            "cap": {"R": 2.0, "rho0": 1.2}},
+    "equator": {"engine": "cap", "n": 2, "t0": -5.0,
+                "controls": {"max_dt": 0.1, "snapshot_stride": 4},
+                "cap": {"R": 1.0, "rho0": math.pi / 2.0}},
+}
+
+
+@pytest.fixture(scope="module")
+def diagnose_inputs(tmp_path_factory):
+    """Trajectory files written by `mcfflow run`, plus a rescaled oval with
+    tau >= 0 on every slice (its anchor is the earliest one)."""
+    d = tmp_path_factory.mktemp("diagnose")
+    paths = {}
+    for name, cfg in _DIAGNOSE_RUNS.items():
+        (d / f"{name}.json").write_text(json.dumps(cfg))
+        paths[name] = str(d / f"{name}.jsonl")
+        assert run_cli("run", "--config", str(d / f"{name}.json"), "--out", paths[name]) == 0
+    oval = str(d / "oval.jsonl")
+    trajio.write_trajectory(exact.sample_trajectory(
+        exact.ExactFamily("oval"), np.linspace(-3.0, -1.0, 5), 64), oval)
+    paths["rescaled"] = str(d / "rescaled.jsonl")
+    assert run_cli("rescale", "--traj", oval, "--window", "3", "--out", paths["rescaled"],
+                   "--report", str(d / "r.json")) == 0
+    return d, paths
+
+
+def _expected_diagnose_row(traj, i, sigma, p):
+    """One diagnose.csv row from the public per-slice functions; None is blank."""
+    sl = traj.slices[i]
+    field = diagnostics.curvature_field(sl)
+    positive = float(np.min(field.H)) > diagnostics.H_FLOOR
+    if isinstance(sl.body, bodies.CapState):
+        measured = [None] * 4
+    else:
+        m = geometry.measure(sl.body)
+        measured = [m.diam, m.rho_minus, m.rho_plus, m.iso_ratio]
+    # |grad A| = 0 wherever |A| = 0 (an equator): the ratio reads 0 there
+    grad = float(np.max(field.grad_A2 / field.A2 ** 2)) if np.min(field.A2) > 0.0 else 0.0
+    return [sl.t,
+            field.eps_min() if positive else None,
+            max(0.0, field.ahh_max() - 1.0 / field.n) if positive else None,
+            (diagnostics.umbilic_deficit(sl, sigma).lp_integral(p) ** (1.0 / p)
+             if positive else None),
+            diagnostics.harnack_quantity(traj, sl.t)[1] if 0 < i < len(traj) - 1 else None,
+            math.sqrt(-sl.t) * float(np.max(field.H)) if sl.t < 0.0 else None,
+            *measured, grad]
+
+
+@pytest.mark.parametrize("name", ["curve", "axisym", "axisym13", "cap", "equator",
+                                  "rescaled"])
+def test_cli_diagnose_cells_match_the_public_functions(diagnose_inputs, name, capsys):
+    d, paths = diagnose_inputs
+    sigma, p = 0.1, 3.0
+    out = d / f"{name}.csv"
+    assert run_cli("diagnose", "--traj", paths[name], "--sigma", str(sigma), "--p", str(p),
+                   "--out", str(out)) == 0
+    header, *lines = out.read_text().splitlines()
+    assert header.split(",") == ["t", "eps_min", "f0_max", "fsigma_lp", "harnack_min",
+                                 "typeI", "diam", "rho_minus", "rho_plus", "iso_ratio",
+                                 "grad_ratio"]
+    cells = [[None if c == "" else float(c) for c in line.split(",")] for line in lines]
+    traj = trajio.read_trajectory(paths[name])
+    assert cells == [_expected_diagnose_row(traj, i, sigma, p) for i in range(len(traj))]
+    # each blanking rule is exercised by at least one input
+    blank = {"cap": 6, "equator": 1, "rescaled": 5}
+    if name in blank:
+        assert all(row[blank[name]] is None for row in cells)
+    assert cells[0][4] is None and cells[-1][4] is None and len(cells) >= 3
 
 
 def test_cli_classify_and_rescale(tmp_path, capsys, oval_exact_traj):

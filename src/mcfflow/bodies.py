@@ -150,6 +150,9 @@ class _TrigInterp:
 
     The interpolant keeps the Nyquist mode of an even sample count, which
     its samples need; the spectral derivative drops it (standard convention).
+    ``derivative`` sums the series at arbitrary angles, in O(points * modes);
+    ``grid_derivative`` evaluates it on the equispaced angles 2*pi*j/M by one
+    zero-padded inverse FFT per order, in O(M log M).
     """
 
     def __init__(self, values):
@@ -166,11 +169,11 @@ class _TrigInterp:
         dF = [self.F]
         for _ in range(3):
             dF.append(1j * self.k * dF[-1])
-        tab = np.array([dF, dF])
+        self._tab = np.array([dF, dF])
         if self.N % 2 == 0:
-            tab[0, :, -1] = 0.0
-        self._re = w * tab.real / self.N
-        self._im = w * tab.imag / self.N
+            self._tab[0, :, -1] = 0.0
+        self._re = w * self._tab.real / self.N
+        self._im = w * self._tab.imag / self.N
 
     def _series(self, theta, order, nyquist):
         # a float for a scalar theta and order, an array for an array theta of
@@ -192,6 +195,17 @@ class _TrigInterp:
         matching sequence of flags) gives one row per order from one table of
         cosines and sines."""
         return self._series(theta, order, nyquist)
+
+    def grid_derivative(self, m, order=1, nyquist=False):
+        """`derivative` at the m angles 2*pi*j/m, j = 0..m-1, for m at least
+        the sample count: the spectrum zero-padded to m points and inverted by
+        one real FFT per order.  For m > N the inverse FFT counts mode N/2
+        twice, with its conjugate, so a kept Nyquist coefficient is halved."""
+        spec = np.zeros(np.shape(order) + (m // 2 + 1,), dtype=complex)
+        spec[..., :len(self.F)] = self._tab[np.asarray(nyquist, dtype=int), order]
+        if self.N % 2 == 0 and m > self.N:
+            spec[..., self.N // 2] *= 0.5
+        return np.fft.irfft(spec, m) * (m / self.N)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +314,16 @@ class SupportProfile:
     def boundary_points(self):
         """Contact points in the profile plane, one per sample angle.
 
-        Uses the spectral derivative of the interpolant; accuracy degrades
-        benignly near underresolved flat sides (the points stay within the
-        interpolation error of the true boundary).
+        Uses the spectral derivative of the interpolant, on its own sample
+        grid by inverse FFT; accuracy degrades benignly near underresolved
+        flat sides (the points stay within the interpolation error of the
+        true boundary).
         """
         pts = self._cache.get("boundary")
         if pts is None:
             a = self.angles()
-            hp = self.interpolator().derivative(a)
+            interp = self.interpolator()
+            hp = interp.grid_derivative(interp.N)[:len(a)]
             ca, sa = np.cos(a), np.sin(a)
             pts = np.column_stack([self.h * ca - hp * sa, self.h * sa + hp * ca])
             self._cache["boundary"] = pts

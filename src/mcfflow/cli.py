@@ -172,6 +172,9 @@ _DIAG_COLUMNS = ["t", "eps_min", "f0_max", "fsigma_lp", "harnack_min", "typeI",
 
 
 def _cmd_diagnose(args):
+    # checked before any slice: only slices with min H > H_FLOOR reach the deficit
+    diagnostics._require_sigma(args.sigma)
+    diagnostics._require_exponent(args.p)
     traj = trajio.read_trajectory(args.traj)
     s = diagnostics._Series(traj)
     ts = s["t"]

@@ -212,14 +212,18 @@ def _require_exponent(p):
         raise ValueError("p must be finite and positive")
 
 
+def _require_sigma(sigma):
+    if not 0.0 <= sigma <= 2.0:
+        raise ValueError("sigma must lie in [0, 2]")
+
+
 def umbilic_deficit(slice_or_body, sigma):
     """Normalized umbilic deficit (|A|^2 - H^2/n) / H^(2-sigma), >= 0.
 
     Zero exactly at umbilic samples (spread below the umbilic tolerance is
     clamped, so round slices report 0 rather than roundoff); requires H > 0.
     """
-    if not 0.0 <= sigma <= 2.0:
-        raise ValueError("sigma must lie in [0, 2]")
+    _require_sigma(sigma)
     field = curvature_field(slice_or_body)
     _require_positive_H(field)
     vals = (field.A2 - field.H ** 2 / field.n) / field.H ** (2.0 - sigma)
@@ -236,8 +240,7 @@ def kconvex_deficit(slice_or_body, sigma, eta, k):
     field = curvature_field(slice_or_body)
     if not 2 <= k <= field.n - 1:
         raise ValueError("k must lie in 2..n-1")
-    if not 0.0 <= sigma <= 2.0:
-        raise ValueError("sigma must lie in [0, 2]")
+    _require_sigma(sigma)
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
     _require_positive_H(field)

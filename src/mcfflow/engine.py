@@ -335,6 +335,9 @@ def _extinction_estimate(records, n):
 # geodesic caps in the ambient sphere
 # ---------------------------------------------------------------------------
 
+_MAX_CAP_SLICES = 100_000  # a window this many snapshot steps long is a mistyped control
+
+
 def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
     """Evolve a geodesic cap, d rho/dt = -(n/R) cot(rho/R), by its closed form
     cos(rho/R) = e^(n (t - T)/R^2), the extinction time T fixed by rho0 at t0.
@@ -356,7 +359,12 @@ def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
     if t_stop == t0:
         raise ValueError("empty time window: t_stop equals t0")
 
-    count = max(2, int(abs(t_stop - t0) / snap_step) + 1)
+    steps = abs(t_stop - t0) / snap_step
+    if not steps < _MAX_CAP_SLICES:
+        raise ValueError(f"the window from t0 = {t0!r} to {t_stop!r} needs more than "
+                         f"{_MAX_CAP_SLICES} snapshots of max_dt * snapshot_stride = "
+                         f"{snap_step!r}: raise max_dt or snapshot_stride")
+    count = max(2, int(steps) + 1)
     times = np.sort(np.linspace(t0, t_stop, count))
     scale = R * R / n
     T = math.inf if start.is_equator else t0 - scale * math.log(math.cos(start.rho / R))

@@ -13,8 +13,10 @@ deterministically: for a plane body the minimum enclosing circle of the
 boundary points, for an axisymmetric body the minimum enclosing circle of the
 meridian and its mirror image in the axis.  Widths and the diameter are the
 extrema of the width and the antipodal chord over the normal angle, found on
-a direction grid and refined together by one batched, safeguarded Newton
-iteration on the interpolant's exact derivatives (see _extrema).
+an equispaced direction grid, where the interpolant is evaluated by
+zero-padded inverse FFT in O(N log N), and refined together by one batched,
+safeguarded Newton iteration on the interpolant's exact derivatives, summed
+directly at the off-grid iterates (see _extrema).
 """
 
 from __future__ import annotations
@@ -93,12 +95,28 @@ def _width_rows(body, t, orders, nyquist):
     return rows[:, :len(t)] + da[:, None] * rows[:, len(t):]
 
 
-def _width_and_chord(body, t):
-    """Width W and antipodal chord at every normal angle of the array t.
-    The chord joins the contact points of nu and -nu (for axisym, of the
-    mirror image of -nu in the meridian plane): it is W nu + D nu_perp, with
-    D = W' from the spectral derivative."""
-    w, d = _width_rows(body, t, (0, 1), (True, False))
+def _search_index(body):
+    """(m, j, a): the search grid as the indices j of the m angles 2*pi*i/m,
+    and the indices a of their antipodal angles.  A curve searches its m = N
+    sample angles, antipode j + N/2; an axisym body the first 2N+1 of the
+    m = 8N angles over the even extension, antipode 4N - j."""
+    if body.mode == MODE_CURVE:
+        j = np.arange(body.N)
+        return body.N, j, (j + body.N // 2) % body.N
+    j = np.arange(2 * body.N + 1)
+    return 8 * body.N, j, 4 * body.N - j
+
+
+def _grid_width_and_chord(body):
+    """Width W and antipodal chord C on the search grid, from one inverse FFT
+    per row (see _TrigInterp.grid_derivative).  The chord joins the contact
+    points of nu and -nu (for axisym, of the mirror image of -nu in the
+    meridian plane): it is W nu + D nu_perp, with D = W' from the spectral
+    derivative."""
+    m, j, a = _search_index(body)
+    h, hp = body.interpolator().grid_derivative(m, (0, 1), (True, False))
+    w = h[j] + h[a]
+    d = hp[j] + hp[a] if body.mode == MODE_CURVE else hp[j] - hp[a]
     return w, np.hypot(w, d)
 
 
@@ -135,13 +153,14 @@ def _starts(body, v):
 def _extrema(body):
     """((w_minus, angle), (w_plus, angle), (diam, angle)): the extrema of
     the width W and of the antipodal chord C = hypot(W, D) over all normal
-    angles (see _width_and_chord).
+    angles (see _grid_width_and_chord).
 
-    Grid stage: one interpolant call gives W and C on the search grid.  Each
-    search refines its first best grid value and every other grid local
-    extremum within its own grid step's variation of the best: nearly tied
-    humps can swap order once refined, and refining gains at most a quarter
-    of that variation on a quadratic.
+    Grid stage: two inverse FFTs of the interpolant, of h and of h', give W
+    and C on the search grid, read at the grid angles and their antipodes
+    (see _search_index).  Each search refines its first best grid value and
+    every other grid local extremum within its own grid step's variation of
+    the best: nearly tied humps can swap order once refined, and refining
+    gains at most a quarter of that variation on a quadratic.
 
     Refinement: all starts go into one safeguarded Newton iteration on the
     derivative (rtsafe, Numerical Recipes 9.4), one interpolant call per
@@ -155,7 +174,7 @@ def _extrema(body):
     """
     grid = _search_grid(body)
     step = grid[1] - grid[0]
-    w, c = _width_and_chord(body, grid)
+    w, c = _grid_width_and_chord(body)
     signs = (1.0, -1.0, -1.0)  # w_minus, w_plus, diam: minimize sign * value
     q, i = np.array([(k, j) for k, v in enumerate((w, w, c))
                      for j in _starts(body, signs[k] * v)]).T
@@ -344,7 +363,7 @@ def shadow_measurements(body):
     # min width equatorial: shadow is the planar profile region
     rho = body.curvature_radius()
     profile_area = float(np.sum(body.h * rho) * body.step)  # full period of the even profile * 1/2
-    diam_profile = float(np.max(_width_and_chord(body, _search_grid(body))[1]))
+    diam_profile = float(np.max(_grid_width_and_chord(body)[1]))
     return ShadowFacts(area=profile_area, diam=diam_profile,
                        w_minus=w_minus, w_plus=w_plus)
 

@@ -93,6 +93,12 @@ def _slice_payload(sl, gauge):
 
 def write_trajectory(traj, path):
     """Write a trajectory as header + one snapshot record per line."""
+    grid = traj.N
+    for k, sl in enumerate(traj.slices):
+        if not isinstance(sl.body, CapState):
+            grid = sl.body.N if grid is None else grid
+            if sl.body.N != grid:
+                raise ValueError(f"slice {k} has N = {sl.body.N}, not the trajectory's N = {grid}")
     meta = traj.meta or {}
     gauge = {
         "t_ext_estimate": meta.get("s_ext"),
@@ -162,6 +168,7 @@ def read_trajectory(path):
         raise SchemaMismatchError(
             f"schema {header.get('schema')!r} is not {SCHEMA_VERSION!r}")
     engine_kind = header.get("engine", "curve")
+    grid = header.get("N")
     slices = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -186,6 +193,11 @@ def read_trajectory(path):
             body = SupportProfile(MODE_AXISYM, int(rec["n"]), data)
         else:
             raise CorruptRecordError(i, f"unknown repr {repr_kind!r}")
+        if repr_kind != REPR_CAP:
+            grid = body.N if grid is None else grid  # a header without N: the first slice's
+            if body.N != grid:
+                raise CorruptRecordError(i, f"slice N = {body.N} differs from the "
+                                         f"trajectory's N = {grid}")
         shift = rec.get("shift")
         if shift is not None:
             shift = _check_finite(shift, i)
@@ -216,7 +228,7 @@ def read_trajectory(path):
             raise CorruptRecordError(1, f"bad header controls ({err})") from None
     n = int(header.get("n", slices[0].body.n))
     return Trajectory(slices, engine_kind if engine_kind in (MODE_CURVE, MODE_AXISYM, "cap")
-                      else slices_mode(slices), n, header.get("N"), meta)
+                      else slices_mode(slices), n, grid, meta)
 
 
 def slices_mode(slices):

@@ -215,10 +215,13 @@ def test_rescale_window_without_snapshots_is_bad_input(oval_windows, name, windo
                      "--out", str(d / "o"), "--report", str(d / "r")]) == 0
 
 
-@pytest.mark.parametrize("option, value, message", [
+BAD_EXPONENTS = [
     ("--p", "0", "p must be"), ("--p", "-1", "p must be"), ("--p", "nan", "p must be"),
     ("--p", "inf", "p must be"), ("--sigma", "-1", "sigma must"),
-    ("--sigma", "2.5", "sigma must"), ("--sigma", "nan", "sigma must")])
+    ("--sigma", "2.5", "sigma must"), ("--sigma", "nan", "sigma must")]
+
+
+@pytest.mark.parametrize("option, value, message", BAD_EXPONENTS)
 def test_diagnose_exponents_out_of_range_are_bad_input(inputs, option, value, message,
                                                        capsys):
     d, paths = inputs
@@ -226,6 +229,18 @@ def test_diagnose_exponents_out_of_range_are_bad_input(inputs, option, value, me
     assert cli.main(argv + [option, value]) == 2
     assert message in capsys.readouterr().err
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("option, value, message", BAD_EXPONENTS)
+def test_diagnose_exponents_checked_without_positive_slices(inputs, option, value,
+                                                            message, capsys):
+    # the equator has H = 0 on every slice, so no slice computes the deficit
+    d, paths = inputs
+    out = d / "equator.csv"
+    argv = ["diagnose", "--traj", paths["equator_traj"], "--out", str(out)]
+    assert cli.main(argv + [option, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["equator_traj", "axisym13_traj"])
@@ -259,3 +274,14 @@ def test_cap_floor_below_resolution_names_the_control(tmp_path, capsys):
                                "cap": {"R": 3.0, "rho0": 1.0}}))
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "stop_rho_plus" in capsys.readouterr().err
+
+
+def test_cap_window_beyond_the_slice_bound_is_bad_input(tmp_path, capsys):
+    # 1e18 snapshots: numpy raised its own MemoryError ("Unable to allocate")
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"engine": "cap", "n": 2, "t0": -1e6,
+                               "controls": {"max_dt": 1e-12, "snapshot_stride": 1},
+                               "cap": {"R": 3000.0, "rho0": 1000.0}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "max_dt" in err and "snapshot_stride" in err

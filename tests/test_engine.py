@@ -223,6 +223,14 @@ def test_evolve_cap_start_at_or_below_the_floor(rho0):
     assert traj.slices[0].body.rho == pytest.approx(rho0, rel=1e-12)
 
 
+@pytest.mark.parametrize("max_dt", [1e-12, 5e-324])
+def test_evolve_cap_rejects_windows_beyond_the_slice_bound(max_dt):
+    # 1e18 snapshots, or an infinite count: far more than numpy can allocate
+    ctrl = engine.FlowControls(max_dt=max_dt, snapshot_stride=1)
+    with pytest.raises(ValueError, match="max_dt .*snapshot_stride"):
+        engine.evolve_cap(3000.0, 1000.0, -1e6, ctrl, n=2)
+
+
 def test_evolve_cap_rejects_bad_radius():
     ctrl = engine.FlowControls()
     with pytest.raises(ValueError):

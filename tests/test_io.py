@@ -123,6 +123,30 @@ def test_write_rejects_nonfinite():
         trajio.write_trajectory(engine.Trajectory([sl], "curve", 1, 64), "/dev/null")
 
 
+def test_slices_on_different_grids_are_refused(tmp_path, capsys):
+    # a hand-written file: two N = 32 slices, then one N = 64 slice
+    slices = [engine.TimeSlice(t, exact.sphere_slice(1, t, N))
+              for t, N in ((-3.0, 32), (-2.0, 32), (-1.0, 64))]
+    header = {"schema": trajio.SCHEMA_VERSION, "kind": "trajectory", "engine": "curve",
+              "n": 1, "N": 32, "count": 3}
+    records = [{"t": sl.t, "repr": trajio.REPR_CURVE, "n": 1, "N": sl.body.N,
+                "data": list(sl.body.h)} for sl in slices]
+    path = tmp_path / "mixed.jsonl"
+    # with the header's N, and without it (the first slice's N holds)
+    for head in (header, {k: v for k, v in header.items() if k != "N"}):
+        path.write_text("\n".join(json.dumps(r) for r in [head, *records]) + "\n")
+        with pytest.raises(trajio.CorruptRecordError, match="N = 64") as err:
+            trajio.read_trajectory(path)
+        assert err.value.line_no == 4
+    assert cli.main(["diagnose", "--traj", str(path), "--out", str(tmp_path / "d.csv")]) == 2
+    assert "line 4" in capsys.readouterr().err
+    out = tmp_path / "w.jsonl"
+    for N in (32, None):
+        with pytest.raises(ValueError, match="slice 2 has N = 64"):
+            trajio.write_trajectory(engine.Trajectory(slices, "curve", 1, N), out)
+    assert not out.exists()
+
+
 def test_config_validation_and_hash(tmp_path):
     cfg = {"engine": "curve", "n": 1, "N": 64, "t0": -1.0,
            "initial": {"random": {"seed": 3}}}

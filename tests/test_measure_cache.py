@@ -1,7 +1,8 @@
 """One cache per body; the array-evaluated grid stage of the widths and the
 diameter against the scalar per-direction search it replaced; the batched
-Newton refinement against bounded Brent on the scalar twins it replaced; and
-the number of interpolant calls one measurement makes."""
+Newton refinement against bounded Brent on the scalar twins it replaced;
+the number of interpolant calls one measurement makes; and the inverse-FFT
+grid evaluation against the direct sum of the series."""
 
 import math
 
@@ -262,3 +263,48 @@ def test_measure_makes_few_interpolant_calls(monkeypatch):
         calls.clear()
         geometry.measure(body)
         assert len(calls) <= 10
+
+
+def _grid_bodies():
+    """Curves with N = 16, 96, 256 and axisym bodies with N = 16, 63, 64."""
+    out = [bodies.random_convex_curve(N, seed=N) for N in (16, 96, 256)]
+    out += [bodies.random_convex_profile(2, N, seed=N) for N in (16, 63, 64)]
+    return out
+
+
+def _grid_interpolants():
+    """The interpolants of _grid_bodies, and of white noise, whose Nyquist
+    mode is as large as any other (a smooth body's is at rounding level)."""
+    rng = np.random.default_rng(12)
+    out = [pytest.param(b.interpolator(), id=f"{b.mode}-{b.N}") for b in _grid_bodies()]
+    return out + [pytest.param(bodies._TrigInterp(rng.normal(size=N)), id=f"noise-{N}")
+                  for N in (16, 63, 64)]
+
+
+@pytest.mark.parametrize("interp", _grid_interpolants())
+def test_grid_derivative_matches_the_direct_sum(interp):
+    orders, flags = (0, 1, 2, 3, 0, 1, 2, 3), (False,) * 4 + (True,) * 4
+    for m in (interp.N, 4 * interp.N):
+        theta = np.arange(m) * (2.0 * math.pi / m)
+        rows = interp.grid_derivative(m, orders, flags)
+        for row, order, nyquist in zip(rows, orders, flags):
+            ref = interp.derivative(theta, order, nyquist)
+            tol = 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(row - ref)) <= tol
+            assert np.max(np.abs(interp.grid_derivative(m, order, nyquist) - ref)) <= tol
+
+
+@pytest.mark.parametrize("body", _grid_bodies(), ids=lambda b: f"{b.mode}-{b.N}")
+def test_search_index_reproduces_the_search_grid(body):
+    # the grid stage reads the FFT rows at j and a; the refinement starts
+    # from _search_grid and sums the series at _antipodal_angle
+    m, j, a = geometry._search_index(body)
+    grid = geometry._search_grid(body)
+    step = 2.0 * math.pi / m
+    np.testing.assert_allclose(j * step, grid, rtol=0.0, atol=1e-14)
+    antipodes = np.mod(geometry._antipodal_angle(body, grid), 2.0 * math.pi)
+    np.testing.assert_allclose(a * step, antipodes, rtol=0.0, atol=1e-14)
+    w, c = geometry._grid_width_and_chord(body)
+    W, D = geometry._width_rows(body, grid, (0, 1), (True, False))
+    np.testing.assert_allclose(w, W, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(c, np.hypot(W, D), rtol=1e-13, atol=0.0)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bodies import CapState, MODE_CURVE, recentre, shift_support
+from .bodies import MODE_CURVE, recentre, shift_support
 from .diagnostics import (H_FLOOR, _Series, _type_quantities, curvature_field,
                           umbilic_deficit)
 from .engine import TimeSlice
@@ -305,7 +305,7 @@ def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
     """
     rule = rule or VerdictRule()
     _require_two_decades(traj)
-    if any(isinstance(sl.body, CapState) for sl in traj.slices):
+    if traj.engine == "cap":
         raise TypeError("diameter and curvature decay apply to Euclidean trajectories")
     s = _Series(traj)
     ts = s["t"]
@@ -385,7 +385,7 @@ def type_two_rescale(traj, window):
     x_k = base_slice.body.boundary_points()[j_k]
     type1 = float(np.max(series) / np.min(series)) < 1.1
 
-    curve_mode = traj.slices[0].body.mode == MODE_CURVE
+    curve_mode = traj.engine == MODE_CURVE
     N = traj.N
     if curve_mode:
         roll = (N // 4) - j_k

@@ -176,6 +176,8 @@ def _cmd_diagnose(args):
     diagnostics._require_sigma(args.sigma)
     diagnostics._require_exponent(args.p)
     traj = trajio.read_trajectory(args.traj)
+    if args.k and not 1 <= args.k <= traj.n:
+        raise ValueError(f"--k = {args.k} is out of range: the slices have n = {traj.n}")
     s = diagnostics._Series(traj)
     ts = s["t"]
     positive = s["minH"] > diagnostics.H_FLOOR
@@ -209,12 +211,11 @@ def _cmd_classify(args):
 
 def _cmd_rescale(args):
     traj = trajio.read_trajectory(args.traj)
-    if any(isinstance(sl.body, CapState) for sl in traj.slices):
+    if traj.engine == "cap":
         raise ValueError("rescale applies to Euclidean flows, not a geodesic cap")
     rf = analysis.type_two_rescale(traj, args.window)
     fit = analysis.soliton_proximity(rf)
-    out = Trajectory(rf.slices, traj.engine, traj.n, traj.N,
-                     {"engine": f"rescaled:{traj.engine}"})
+    out = Trajectory(rf.slices, {"engine": f"rescaled:{traj.engine}"})
     trajio.write_trajectory(out, args.out)
     trajio.emit_report({
         "window": args.window,

@@ -423,7 +423,7 @@ def _type_quantities(traj, s):
     """type_quantities of traj from its _Series table s."""
     if len(traj) < 10:
         raise ValueError("need at least 10 slices")
-    if any(isinstance(sl.body, CapState) for sl in traj.slices):
+    if traj.engine == "cap":
         raise ValueError("type quantities apply to Euclidean trajectories")
     if np.any(s["t"] > 0.0):
         raise ValueError("type quantities need t <= 0")

@@ -96,18 +96,40 @@ class TimeSlice:
     shift: object = None
 
 
+def _kind(body):
+    """(kind, n, N) of one slice's body; N is None for a cap."""
+    if isinstance(body, CapState):
+        return "cap", body.n, None
+    return body.mode, body.n, body.N
+
+
 @dataclass(eq=False)
 class Trajectory:
+    """Time slices of one flow, in strictly increasing time, plus metadata.
+
+    Every slice has the same kind ("curve", "axisym" or "cap"), dimension n
+    and grid size N (None for caps); ``engine``, ``n`` and ``N`` read them
+    off the first slice.  ``meta`` holds provenance and run counters.
+    """
     slices: list
-    engine: str
-    n: int
-    N: object = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.slices:
+            raise ValueError("a trajectory needs at least one slice")
+        first = _kind(self.slices[0].body)
+        for k, sl in enumerate(self.slices[1:], start=1):
+            for name, got, want in zip(("kind", "n", "N"), _kind(sl.body), first):
+                if got != want:
+                    raise ValueError(f"slice {k} has {name} = {got}, "
+                                     f"not the trajectory's {name} = {want}")
         ts = self.times()
         if len(ts) >= 2 and not np.all(np.diff(ts) > 0.0):
             raise ValueError("slice times must be strictly increasing")
+
+    engine = property(lambda self: _kind(self.slices[0].body)[0])
+    n = property(lambda self: _kind(self.slices[0].body)[1])
+    N = property(lambda self: _kind(self.slices[0].body)[2])
 
     def times(self):
         return np.array([s.t for s in self.slices])
@@ -120,7 +142,7 @@ class Trajectory:
         slices = [TimeSlice(s.t - delta, s.body, s.shift) for s in self.slices]
         meta = dict(self.meta)
         meta["time_shift_applied"] = meta.get("time_shift_applied", 0.0) + delta
-        return Trajectory(slices, self.engine, self.n, self.N, meta)
+        return Trajectory(slices, meta)
 
     def parabolic_rescale(self, lam):
         """Space x lambda, time x lambda^2; maps flows to flows."""
@@ -133,7 +155,7 @@ class Trajectory:
             out.append(TimeSlice(lam * lam * s.t, body, shift))
         meta = dict(self.meta)
         meta["parabolic_rescale"] = meta.get("parabolic_rescale", 1.0) * lam
-        return Trajectory(out, self.engine, self.n, self.N, meta)
+        return Trajectory(out, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +211,14 @@ def _curvature_radius4(h, mode, dtheta):
     return (d2_periodic4 if mode == MODE_CURVE else d2_reflect4)(h, dtheta) + h
 
 
-def _stability_dt(h, mode, dtheta, cfl):
-    rho = _curvature_radius4(h, mode, dtheta)
-    if np.min(rho) <= 0.0:
-        raise ConvexityLostError("cannot bound dt for a non-convex profile")
-    return _dt_bound(rho, dtheta, cfl)
-
-
 def _public_step(profile, dt, cfl_for_check=0.5):
-    bound = _stability_dt(profile.h, profile.mode, profile.step, cfl_for_check)
+    rhs = _rhs_for(profile.mode, profile.n, profile.step, profile.angles())
+    k1, rho = rhs(profile.h)
+    bound = _dt_bound(rho, profile.step, cfl_for_check)
     if dt > bound:
         raise StabilityViolationError(
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
-    rhs = _rhs_for(profile.mode, profile.n, profile.step, profile.angles())
-    h, _ = _rk4(profile.h, dt, rhs, rhs(profile.h)[0])
+    h, _ = _rk4(profile.h, dt, rhs, k1)
     if np.min(h) <= 0.0:
         raise ConvexityLostError("support lost positivity; body left the origin")
     return SupportProfile(profile.mode, profile.n, h)
@@ -310,7 +326,7 @@ def evolve(initial, t0, controls):
         "final_time": slices[-1].t,
         "accepted_steps": accepted,
     }
-    return Trajectory(slices, mode, n, initial.N, meta)
+    return Trajectory(slices, meta)
 
 
 def _extinction_estimate(records, n):
@@ -378,5 +394,4 @@ def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
         times = np.append(times[times < t_end], t_end)
     slices = [TimeSlice(float(t), CapState(R, n, _cap_geodesic_radius(R, n, t - T)))
               for t in times]
-    return Trajectory(slices, "cap", n, None,
-                      {"engine": "cap", "R": R, "controls": controls, "user_t0": t0})
+    return Trajectory(slices, {"engine": "cap", "R": R, "controls": controls, "user_t0": t0})

@@ -359,9 +359,5 @@ def sample_trajectory(family, times, resolution=256):
         else:
             raise ValueError(f"cannot sample a {family.kind!r} trajectory")
         slices.append(TimeSlice(t, body))
-    engine_name = "cap" if family.kind in ("cap", "equator") else \
-        (MODE_CURVE if family.n == 1 else MODE_AXISYM)
-    N = None if family.kind in ("cap", "equator") else resolution
-    return Trajectory(slices, engine_name, family.n, N,
-                      {"engine": f"exact:{family.kind}", "family": family.kind,
-                       "R": family.R, "exact": True})
+    return Trajectory(slices, {"engine": f"exact:{family.kind}", "family": family.kind,
+                               "R": family.R, "exact": True})

@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 
 from .bodies import CapState, MODE_AXISYM, MODE_CURVE, SupportProfile
-from .engine import FlowControls, TimeSlice, Trajectory
+from .engine import FlowControls, TimeSlice, Trajectory, _kind
 
 SCHEMA_VERSION = "mcfflow/1"
 
@@ -93,12 +93,6 @@ def _slice_payload(sl, gauge):
 
 def write_trajectory(traj, path):
     """Write a trajectory as header + one snapshot record per line."""
-    grid = traj.N
-    for k, sl in enumerate(traj.slices):
-        if not isinstance(sl.body, CapState):
-            grid = sl.body.N if grid is None else grid
-            if sl.body.N != grid:
-                raise ValueError(f"slice {k} has N = {sl.body.N}, not the trajectory's N = {grid}")
     meta = traj.meta or {}
     gauge = {
         "t_ext_estimate": meta.get("s_ext"),
@@ -167,8 +161,8 @@ def read_trajectory(path):
     if header.get("schema") != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"schema {header.get('schema')!r} is not {SCHEMA_VERSION!r}")
-    engine_kind = header.get("engine", "curve")
-    grid = header.get("N")
+    # every record's kind, n and N: the header's n and N where present, else the first record's
+    expect = {key: header[key] for key in ("n", "N") if header.get(key) is not None}
     slices = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -193,11 +187,11 @@ def read_trajectory(path):
             body = SupportProfile(MODE_AXISYM, int(rec["n"]), data)
         else:
             raise CorruptRecordError(i, f"unknown repr {repr_kind!r}")
-        if repr_kind != REPR_CAP:
-            grid = body.N if grid is None else grid  # a header without N: the first slice's
-            if body.N != grid:
-                raise CorruptRecordError(i, f"slice N = {body.N} differs from the "
-                                         f"trajectory's N = {grid}")
+        for key, got in zip(("kind", "n", "N"), _kind(body)):
+            want = expect.setdefault(key, got)
+            if got != want:
+                raise CorruptRecordError(i, f"slice {key} = {got!r} differs from the "
+                                         f"trajectory's {key} = {want!r}")
         shift = rec.get("shift")
         if shift is not None:
             shift = _check_finite(shift, i)
@@ -213,7 +207,7 @@ def read_trajectory(path):
     gauge, provenance, controls = (_header_block(header, key)
                                    for key in ("gauge", "provenance", "controls"))
     meta = {
-        "engine": engine_kind,
+        "engine": header.get("engine", "curve"),
         "s_ext": gauge.get("t_ext_estimate"),
         "seed": provenance.get("seed"),
         "config_hash": provenance.get("config_hash"),
@@ -226,27 +220,12 @@ def read_trajectory(path):
             meta["controls"] = FlowControls(**controls)
         except (TypeError, ValueError) as err:
             raise CorruptRecordError(1, f"bad header controls ({err})") from None
-    n = int(header.get("n", slices[0].body.n))
-    return Trajectory(slices, engine_kind if engine_kind in (MODE_CURVE, MODE_AXISYM, "cap")
-                      else slices_mode(slices), n, grid, meta)
-
-
-def slices_mode(slices):
-    body = slices[0].body
-    if isinstance(body, CapState):
-        return "cap"
-    return body.mode
+    return Trajectory(slices, meta)
 
 
 def write_slice(sl, path):
     """Write a single snapshot as a one-record trajectory file."""
-    body = sl.body
-    if isinstance(body, CapState):
-        kind, N = "cap", None
-    else:
-        kind, N = body.mode, body.N
-    traj = Trajectory([sl], kind, body.n, N, {"engine": kind})
-    write_trajectory(traj, path)
+    write_trajectory(Trajectory([sl]), path)
 
 
 def read_slice(path):

@@ -243,6 +243,17 @@ def test_diagnose_exponents_checked_without_positive_slices(inputs, option, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, k", [("curve_traj", "2"), ("curve_traj", "-1"),
+                                     ("axisym13_traj", "14"), ("cap_traj", "3")])
+def test_diagnose_k_out_of_range_writes_nothing(inputs, name, k, capsys):
+    # k-convexity needs 1 <= k <= n, the n of the file's slices
+    d, paths = inputs
+    out = d / f"k-{name}.csv"
+    assert cli.main(["diagnose", "--traj", paths[name], "--k", k, "--out", str(out)]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["equator_traj", "axisym13_traj"])
 def test_diagnose_reads_equator_and_n13_runs(inputs, name, capsys):
     # an equator has H = |A| = |grad H| = 0 (0/0 in the gradient ratio and

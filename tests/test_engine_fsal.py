@@ -3,7 +3,7 @@
 The copy below is the stepping loop as it was before the post-step check
 was reused as the next step's first stage: `np.roll` stencils for curves,
 six stencil evaluations per accepted step, and a fresh stability bound
-from `_stability_dt` every step.  Both loops run the same bodies with the
+from its own stencil every step.  Both loops run the same bodies with the
 same forced stage failure, and every state they recentre or emit must
 match exactly.
 """

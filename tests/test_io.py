@@ -47,7 +47,7 @@ def test_roundtrip_engine_run_with_shifts(tmp_path):
 def test_header_with_refinement_control_still_reads(tmp_path, sphere_traj):
     # files written while FlowControls had a `refinement` field carry it
     controls = engine.FlowControls(cfl=0.3)
-    traj = engine.Trajectory(sphere_traj.slices, "curve", 1, 64, {"controls": controls})
+    traj = engine.Trajectory(sphere_traj.slices, {"controls": controls})
     p = tmp_path / "old.jsonl"
     trajio.write_trajectory(traj, p)
     text = p.read_text()
@@ -120,7 +120,7 @@ def test_write_rejects_nonfinite():
     sl = engine.TimeSlice(-1.0, exact.sphere_slice(1, -1.0, 64))
     sl.body.h[0] = math.inf
     with pytest.raises(ValueError):
-        trajio.write_trajectory(engine.Trajectory([sl], "curve", 1, 64), "/dev/null")
+        trajio.write_trajectory(engine.Trajectory([sl]), "/dev/null")
 
 
 def test_slices_on_different_grids_are_refused(tmp_path, capsys):
@@ -140,10 +140,62 @@ def test_slices_on_different_grids_are_refused(tmp_path, capsys):
         assert err.value.line_no == 4
     assert cli.main(["diagnose", "--traj", str(path), "--out", str(tmp_path / "d.csv")]) == 2
     assert "line 4" in capsys.readouterr().err
-    out = tmp_path / "w.jsonl"
-    for N in (32, None):
-        with pytest.raises(ValueError, match="slice 2 has N = 64"):
-            trajio.write_trajectory(engine.Trajectory(slices, "curve", 1, N), out)
+    with pytest.raises(ValueError, match="slice 2 has N = 64"):
+        engine.Trajectory(slices)
+
+
+def test_trajectory_reads_kind_n_and_N_off_its_slices():
+    ts = (-3.0, -2.0, -1.0)
+    for family, (kind, n, N) in ((exact.ExactFamily("sphere", 1), ("curve", 1, 32)),
+                                 (exact.ExactFamily("sphere", 3), ("axisym", 3, 32)),
+                                 (exact.ExactFamily("cap", 2, R=3.0), ("cap", 2, None))):
+        traj = exact.sample_trajectory(family, ts, 32)
+        assert (traj.engine, traj.n, traj.N) == (kind, n, N)
+    curve = [engine.TimeSlice(t, exact.sphere_slice(1, t, 32)) for t in ts[:2]]
+    axisym = [engine.TimeSlice(t, exact.sphere_slice(2, t, 32)) for t in ts[:2]]
+    for slices, message in (
+            (curve + [engine.TimeSlice(-1.0, exact.cap_slice(3.0, 2, -1.0))],
+             "slice 2 has kind = cap, not the trajectory's kind = curve"),
+            (axisym + [engine.TimeSlice(-1.0, exact.sphere_slice(3, -1.0, 32))],
+             "slice 2 has n = 3, not the trajectory's n = 2"),
+            ([], "at least one slice")):
+        with pytest.raises(ValueError, match=message):
+            engine.Trajectory(slices)
+
+
+def _record(tmp_path, body):
+    """The snapshot record written for body at t = -2."""
+    path = tmp_path / "one.jsonl"
+    trajio.write_slice(engine.TimeSlice(-2.0, body), path)
+    return path.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("case", ["header_n", "mixed_n", "mixed_kind"])
+def test_slices_of_another_kind_or_n_are_refused(tmp_path, case, capsys):
+    # a header n = 3 over n = 2 slices; an n = 5 slice, then a curve slice,
+    # among n = 2 slices
+    path = tmp_path / "sphere.jsonl"
+    family = exact.ExactFamily("sphere", 2)
+    trajio.write_trajectory(exact.sample_trajectory(family, [-3.0, -2.0, -1.0], 32), path)
+    header, *records = path.read_text().splitlines()
+    line, message, lines = {
+        "header_n": (2, "n = 2 differs from the trajectory's n = 3",
+                     [json.dumps({**json.loads(header), "n": 3}), *records]),
+        "mixed_n": (3, "n = 5 differs from the trajectory's n = 2",
+                    [header, records[0], _record(tmp_path, exact.sphere_slice(5, -2.0, 32)),
+                     records[2]]),
+        "mixed_kind": (3, "kind = 'curve' differs from the trajectory's kind = 'axisym'",
+                       [header, records[0], _record(tmp_path, exact.sphere_slice(1, -2.0, 32)),
+                        records[2]]),
+    }[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(trajio.CorruptRecordError, match=message) as err:
+        trajio.read_trajectory(path)
+    assert err.value.line_no == line
+    out = tmp_path / "d.csv"
+    assert cli.main(["diagnose", "--traj", str(path), "--out", str(out)]) == 2
+    assert f"line {line}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,6 +19,13 @@ quantity D2 h + h is provably positive (h(t+d) + h(t-d) - 2h(t) >=
 h(t)(2cos d - 2) by the support inequality against the contact point of t),
 so valid bodies are never rejected, even when the grid underresolves a
 nearly flat side.
+
+The grid's discretization is defined here only: the boundary extension
+``_pad`` (periodic, or even about both poles) under the 3-point (``d1``,
+``d2``) and 4th-order stencils, the pole limit ``azimuthal_curvature`` and
+the trapezoid weights ``SupportProfile.weights``.  ``engine`` reads the
+4th-order stencils and the pole limit, ``diagnostics`` ``d1``, the pole
+limit and the weights, and ``geometry`` the extension and the weights.
 """
 
 from __future__ import annotations
@@ -50,54 +57,55 @@ def unit_ball_volume(dim):
 
 
 # ---------------------------------------------------------------------------
-# periodic / reflected finite-difference stencils
+# the grid's discretization: boundary extension, stencils, pole limit
 # ---------------------------------------------------------------------------
 
-def _wrap_pad(h, width):
-    # periodic extension: e[j] = h[j - width], indices taken mod N
-    return np.concatenate([h[-width:], h, h[:width]])
-
-
-def d2_periodic(h, dx):
-    e = _wrap_pad(h, 1)
-    return (e[:-2] - 2.0 * e[1:-1] + e[2:]) / (dx * dx)
-
-
-def d1_periodic(h, dx):
-    e = _wrap_pad(h, 1)
-    return (e[2:] - e[:-2]) / (2.0 * dx)
-
-
-def d2_periodic4(h, dx):
-    e = _wrap_pad(h, 2)
-    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
-            + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
-
-
-def _reflect_pad(h, width):
-    # even reflection about both endpoints: h[-j] = h[j], h[N+j] = h[N-j]
+def _pad(mode, h, width):
+    """h extended by `width` samples past each grid end: periodically on the
+    curve grid (e[j] = h[j - width], indices mod N), by even reflection about
+    both poles on the axisym grid (h[-j] = h[j], h[N+j] = h[N-j])."""
+    if mode == MODE_CURVE:
+        return np.concatenate([h[-width:], h, h[:width]])
     return np.concatenate([h[width:0:-1], h, h[-2:-2 - width:-1]])
 
 
-def d2_reflect(h, dx):
-    e = _reflect_pad(h, 1)
+def d2(mode, h, dx):
+    """3-point second difference on the grid of `mode`."""
+    e = _pad(mode, h, 1)
     return (e[:-2] - 2.0 * e[1:-1] + e[2:]) / (dx * dx)
 
 
-def d1_reflect(h, dx):
-    e = _reflect_pad(h, 1)
+def d1(mode, h, dx):
+    """3-point centered first difference on the grid of `mode`."""
+    e = _pad(mode, h, 1)
     return (e[2:] - e[:-2]) / (2.0 * dx)
 
 
-def d2_reflect4(h, dx):
-    e = _reflect_pad(h, 2)
+def _d2_five_point(e, dx):
+    # 4th-order second difference of samples padded by two at each end
     return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
             + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
 
 
+def d2_periodic4(h, dx):
+    return _d2_five_point(_pad(MODE_CURVE, h, 2), dx)
+
+
+def d2_reflect4(h, dx):
+    return _d2_five_point(_pad(MODE_AXISYM, h, 2), dx)
+
+
 def d1_reflect4(h, dx):
-    e = _reflect_pad(h, 2)
+    e = _pad(MODE_AXISYM, h, 2)
     return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * dx)
+
+
+def azimuthal_curvature(kappa1, sin_phi, r):
+    """kappa2 = sin(phi)/r on the axisym grid, with its umbilic limit
+    kappa2 -> kappa1 = 1/(h''+h) at both poles, where sin(phi) = r = 0."""
+    kappa2 = kappa1.copy()
+    kappa2[1:-1] = sin_phi[1:-1] / r[1:-1]
+    return kappa2
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +273,19 @@ class SupportProfile:
 
     def curvature_radius(self):
         """3-point h'' + h; strictly positive on every valid body."""
-        if self.mode == MODE_CURVE:
-            return d2_periodic(self.h, self.step) + self.h
-        return d2_reflect(self.h, self.step) + self.h
+        return d2(self.mode, self.h, self.step) + self.h
 
     def support_derivative(self):
         """Centered first derivative of h on the grid (zero at axisym poles)."""
-        if self.mode == MODE_CURVE:
-            return d1_periodic(self.h, self.step)
-        return d1_reflect(self.h, self.step)
+        return d1(self.mode, self.h, self.step)
+
+    def weights(self):
+        """Trapezoid quadrature weights: the grid step, halved at the axisym
+        poles; they sum to 2*pi (curve) or pi (axisym)."""
+        w = np.full(len(self.h), self.step)
+        if self.mode == MODE_AXISYM:
+            w[[0, -1]] *= 0.5
+        return w
 
     def validate(self):
         h = self.h

@@ -11,7 +11,9 @@ Discretization choices, shared across the module:
   (ds = (h''+h) dphi); azimuthal derivatives vanish by symmetry, and the
   full |grad A|^2 is transplanted as the profile-direction norm -- a
   documented limitation of the axisymmetric representation.
-* Quadrature is trapezoidal with metric weights dmu.
+* Quadrature is trapezoidal with metric weights dmu, the grid weights of
+  ``SupportProfile.weights`` times the metric.  The stencils and the pole
+  limit kappa2 -> kappa1 are those of ``bodies``.
 * Time derivatives are taken at fixed normal direction, the natural gauge
   for support-function flows (the Gauss map is the fixed parameter).
 
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from . import geometry
-from .bodies import CapState, MODE_CURVE, d1_periodic, d1_reflect, sphere_surface_area
+from .bodies import CapState, MODE_CURVE, azimuthal_curvature, d1, sphere_surface_area
 from .engine import TimeSlice
 
 UMBILIC_TOL = 1e-10
@@ -98,12 +100,11 @@ def curvature_field(slice_or_body):
 
 
 def _curve_field(body):
-    dtheta = body.step
     rho = body.curvature_radius()
     kappa = 1.0 / rho
     H = kappa
-    dmu = rho * dtheta
-    dHds = d1_periodic(H, dtheta) / rho
+    dmu = rho * body.weights()
+    dHds = d1(body.mode, H, body.step) / rho
     g2 = dHds ** 2
     return CurvatureField(n=1, lambdas=kappa[:, None], H=H, A2=kappa ** 2,
                           grad_H2=g2, grad_A2=g2, dmu=dmu, nu=body.normals(),
@@ -117,22 +118,16 @@ def _axisym_field(body):
     rho = body.curvature_radius()
     kappa1 = 1.0 / rho
     r = body.axis_distance()
-    kappa2 = np.empty_like(kappa1)
-    kappa2[1:-1] = np.sin(phi[1:-1]) / r[1:-1]
-    kappa2[0] = kappa1[0]
-    kappa2[-1] = kappa1[-1]
+    kappa2 = azimuthal_curvature(kappa1, np.sin(phi), r)
     lambdas = np.concatenate([kappa1[:, None], np.repeat(kappa2[:, None], n - 1, axis=1)],
                              axis=1)
     lambdas.sort(axis=1)
     H = kappa1 + (n - 1) * kappa2
     A2 = kappa1 ** 2 + (n - 1) * kappa2 ** 2
-    w = np.full(len(phi), dphi)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    dmu = sphere_surface_area(n - 1) * np.maximum(r, 0.0) ** (n - 1) * rho * w
-    dHds = d1_reflect(H, dphi) / rho
-    dk1 = d1_reflect(kappa1, dphi) / rho
-    dk2 = d1_reflect(kappa2, dphi) / rho
+    dmu = sphere_surface_area(n - 1) * np.maximum(r, 0.0) ** (n - 1) * rho * body.weights()
+    dHds = d1(body.mode, H, dphi) / rho
+    dk1 = d1(body.mode, kappa1, dphi) / rho
+    dk2 = d1(body.mode, kappa2, dphi) / rho
     return CurvatureField(n=n, lambdas=lambdas, H=H, A2=A2,
                           grad_H2=dHds ** 2,
                           grad_A2=dk1 ** 2 + (n - 1) * dk2 ** 2,

@@ -8,7 +8,8 @@ Axisym mode (revolution in R^(n+1)):
     h_t = -[kappa1 + (n-1) kappa2],
     kappa1 = 1/(h_pp + h)   (meridian curvature),
     kappa2 = sin(phi)/r,  r = h sin(phi) + h' cos(phi),
-    with the umbilic limit kappa2 -> kappa1 at the poles.
+    with the umbilic limit kappa2 -> kappa1 at the poles
+    (bodies.azimuthal_curvature).
 
 Stepping is explicit RK4 on 4th-order centered stencils.  The linearization
 of -1/(h''+h) has diffusion coefficient kappa^2, so steps obey
@@ -39,7 +40,8 @@ import numpy as np
 
 from . import geometry
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, NonConvexBodyError,
-                     _cap_geodesic_radius, d1_reflect4, d2_periodic4, d2_reflect4, recentre)
+                     _cap_geodesic_radius, azimuthal_curvature, d1_reflect4, d2_periodic4,
+                     d2_reflect4, recentre)
 
 
 class ConvexityLostError(RuntimeError):
@@ -169,7 +171,7 @@ def _curve_rhs(h, dtheta):
     return -1.0 / rho, rho
 
 
-def _axisym_rhs(h, dphi, n, phi, sin_phi, cos_phi):
+def _axisym_rhs(h, dphi, n, sin_phi, cos_phi):
     rho = d2_reflect4(h, dphi) + h
     if rho.min() <= 0.0:
         raise ConvexityLostError("h'' + h <= 0 inside a stage")
@@ -178,10 +180,7 @@ def _axisym_rhs(h, dphi, n, phi, sin_phi, cos_phi):
     if r[1:-1].min() <= 0.0:
         raise PoleSingularityError("profile touched the axis at an interior node")
     kappa1 = 1.0 / rho
-    kappa2 = np.empty_like(h)
-    kappa2[1:-1] = sin_phi[1:-1] / r[1:-1]
-    kappa2[0] = kappa1[0]      # umbilic poles: sin(phi)/r -> 1/(h''+h)
-    kappa2[-1] = kappa1[-1]
+    kappa2 = azimuthal_curvature(kappa1, sin_phi, r)
     return -(kappa1 + (n - 1) * kappa2), rho
 
 
@@ -189,7 +188,7 @@ def _rhs_for(mode, n, dtheta, angles):
     if mode == MODE_CURVE:
         return lambda x: _curve_rhs(x, dtheta)
     sin_phi, cos_phi = np.sin(angles), np.cos(angles)
-    return lambda x: _axisym_rhs(x, dtheta, n, angles, sin_phi, cos_phi)
+    return lambda x: _axisym_rhs(x, dtheta, n, sin_phi, cos_phi)
 
 
 def _rk4(h, dt, rhs, k1):

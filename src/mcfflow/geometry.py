@@ -6,7 +6,8 @@ turning a reverse isoperimetric bound into an outer/inner radius bound.
 
 Conventions.  For a body measured here, ``area`` is the n-dimensional
 boundary measure |M| and ``volume`` the (n+1)-dimensional enclosed measure
-|Omega|.  Quadrature is trapezoidal with metric weights, O(N^-2).  The outer
+|Omega|.  Quadrature is trapezoidal with metric weights, O(N^-2), on the
+grid weights of ``SupportProfile.weights``.  The outer
 radius is the exact minimum enclosing ball of the sampled boundary, a
 lower-biased estimate of the continuum value with error O(N^-2), computed
 deterministically: for a plane body the minimum enclosing circle of the
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from . import _solvers
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, chebyshev_ball, recentre,
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, _pad, chebyshev_ball, recentre,
                      sphere_surface_area, unit_ball_volume)
 
 
@@ -140,9 +141,8 @@ def _starts(body, v):
     starts = [int(np.argmin(v))]
     if len(ties) <= _MAX_TIES:  # more: the body is round, any tie will do
         # neighbours: the curve grid is periodic; on [0, pi/2] widths and
-        # chords are even about both ends
-        e = (np.concatenate([v[-1:], v, v[:1]]) if body.mode == MODE_CURVE
-             else np.concatenate([v[1:2], v, v[-2:-1]]))
+        # chords are even about both ends, as axisym samples are at the poles
+        e = _pad(body.mode, v, 1)
         lo, hi = np.minimum(e[:-2], e[2:]), np.maximum(e[:-2], e[2:])
         humps = (v <= lo) & (v - (hi - v) <= best)
         humps[ties] = False
@@ -266,12 +266,9 @@ def area_and_volume(body):
         vol = 0.5 * float(np.sum(body.h * rho) * dtheta)
         return perim, vol
     n = body.n
-    phi = body.angles()
     r = body.axis_distance()
     r = np.maximum(r, 0.0)  # poles are exactly 0 up to roundoff
-    w = np.full(len(phi), body.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = body.weights()
     sigma = sphere_surface_area(n - 1)
     area = sigma * float(np.sum(r ** (n - 1) * rho * w))
     vol = sigma / (n + 1.0) * float(np.sum(body.h * r ** (n - 1) * rho * w))
@@ -282,11 +279,7 @@ def meridian_length(body):
     """Pole-to-pole arc length of the generating curve (axisym only)."""
     if body.mode != MODE_AXISYM:
         raise ValueError("meridian_length needs an axisym profile")
-    rho = body.curvature_radius()
-    w = np.full(len(rho), body.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return float(np.sum(rho * w))
+    return float(np.sum(body.curvature_radius() * body.weights()))
 
 
 def intrinsic_diameter(body):

@@ -134,11 +134,37 @@ def _reject_constant(name):
     raise ValueError(f"non-finite constant {name!r} in payload")
 
 
-def _check_finite(values, line_no):
+def _finite_array(values):
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise CorruptRecordError(line_no, "non-finite geometry payload")
+        raise ValueError("non-finite geometry payload")
     return arr
+
+
+_REPR_KIND = {REPR_CURVE: MODE_CURVE, REPR_AXISYM: MODE_AXISYM, REPR_CAP: "cap"}
+
+
+def _record_slice(rec):
+    """(TimeSlice, the record's own (kind, n, N)) of one snapshot record; a
+    malformed record raises TypeError, ValueError or KeyError."""
+    t, n, N, data = rec["t"], rec["n"], rec["N"], _finite_array(rec["data"])
+    kind = _REPR_KIND.get(rec["repr"])
+    if kind is None:
+        raise ValueError(f"unknown repr {rec['repr']!r}")
+    if kind == "cap":
+        if len(data) != 1:
+            raise ValueError("cap record needs one value")
+        body = CapState(float(rec["R"]), int(n), float(data[0]))
+    else:
+        body = SupportProfile(kind, int(n), data)
+    shift = rec.get("shift")
+    if shift is not None:
+        size = 2 if kind == MODE_CURVE else 1
+        shift = _finite_array(shift)
+        if shift.shape != (size,):
+            raise ValueError(f"{kind} shift needs {size} value(s), not {shift.tolist()!r}")
+        shift = shift if size == 2 else float(shift[0])
+    return TimeSlice(float(t), body, shift), (kind, n, None if kind == "cap" else N)
 
 
 def _header_block(header, key):
@@ -168,38 +194,24 @@ def read_trajectory(path):
         if not line.strip():
             raise CorruptRecordError(i, "blank record")
         rec = _parse_line(line, i)
-        for key in ("t", "repr", "n", "N", "data"):
-            if key not in rec:
-                raise CorruptRecordError(i, f"missing field {key!r}")
-        data = _check_finite(rec["data"], i)
-        repr_kind = rec["repr"]
-        if repr_kind == REPR_CAP:
-            if len(data) != 1:
-                raise CorruptRecordError(i, "cap record needs one value")
-            body = CapState(float(rec["R"]), int(rec["n"]), float(data[0]))
-        elif repr_kind == REPR_CURVE:
-            if len(data) != int(rec["N"]):
-                raise CorruptRecordError(i, "data length does not match N")
-            body = SupportProfile(MODE_CURVE, 1, data)
-        elif repr_kind == REPR_AXISYM:
-            if len(data) != int(rec["N"]) + 1:
-                raise CorruptRecordError(i, "data length does not match N+1")
-            body = SupportProfile(MODE_AXISYM, int(rec["n"]), data)
-        else:
-            raise CorruptRecordError(i, f"unknown repr {repr_kind!r}")
-        for key, got in zip(("kind", "n", "N"), _kind(body)):
+        try:
+            sl, stated = _record_slice(rec)
+        except KeyError as err:
+            raise CorruptRecordError(i, f"missing field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise CorruptRecordError(i, str(err)) from None
+        for key, got, own in zip(("kind", "n", "N"), _kind(sl.body), stated):
+            if got != own:
+                raise CorruptRecordError(i, f"record {key} = {own!r} does not fit its "
+                                         f"data ({key} = {got!r})")
             want = expect.setdefault(key, got)
             if got != want:
                 raise CorruptRecordError(i, f"slice {key} = {got!r} differs from the "
                                          f"trajectory's {key} = {want!r}")
-        shift = rec.get("shift")
-        if shift is not None:
-            shift = _check_finite(shift, i)
-            shift = shift if repr_kind == REPR_CURVE else float(shift[0])
-        slices.append(TimeSlice(float(rec["t"]), body, shift))
+        slices.append(sl)
     count = header.get("count")
     if count is not None and count != len(slices):
-        raise CorruptRecordError(len(lines), f"expected {count} records, "
+        raise CorruptRecordError(len(lines), f"expected {count!r} records, "
                                  f"found {len(slices)}")
     if not slices:
         raise CorruptRecordError(len(lines), f"no snapshot records (file kind "

@@ -1,0 +1,44 @@
+"""The benchmark tracer's names resolve against the package.
+
+`bench/spans.py` times the package by patching the entry points it names in
+`LAYERS`, wherever a module of the package binds them.  A rename, or an
+engine that stops calling a traced stencil through its traced name, would
+otherwise show only in a traced benchmark run.  The tracer is loaded from
+its source without importing the bench directory.
+"""
+
+import pathlib
+import sys
+import types
+
+# the tracer finds each layer in sys.modules
+from mcfflow import (_solvers, analysis, bodies, cli, diagnostics, engine,  # noqa: F401
+                     exact, geometry, trajio)
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ENGINE_STENCILS = ("d2_periodic4", "d2_reflect4", "d1_reflect4")
+
+
+def _spans():
+    module = types.ModuleType("spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _spans()
+    for layer, names in spans.LAYERS.items():
+        for name in names:
+            owner = sys.modules[f"mcfflow.{layer}"]
+            for part in name.split("."):
+                assert hasattr(owner, part), f"mcfflow.{layer}.{name}"
+                owner = getattr(owner, part)
+            assert callable(owner), f"mcfflow.{layer}.{name}"
+
+
+def test_engine_binds_the_traced_stencils():
+    sites = {(getattr(owner, "__name__", None), attr, original)
+             for owner, attr, original, _ in _spans().Tracer()._sites}
+    for name in ENGINE_STENCILS:
+        assert ("mcfflow.engine", name, getattr(bodies, name)) in sites, name

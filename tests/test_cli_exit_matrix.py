@@ -17,6 +17,23 @@ from mcfflow.diagnostics import NonPositiveCurvatureError
 from mcfflow.engine import TimeSlice
 
 
+DROP = object()
+# edits of a run's second snapshot record (line 3): source file, new fields
+EDITED_RECORDS = {
+    "empty_shift": ("axisym13_traj", {"shift": []}),
+    "axisym_shift2": ("axisym13_traj", {"shift": [0.0, 0.0]}),
+    "curve_shift1": ("curve_traj", {"shift": [0.0]}),
+    "scalar_data": ("curve_traj", {"data": 5.0}),
+    "null_time": ("curve_traj", {"t": None}),
+    "string_time": ("curve_traj", {"t": "x"}),
+    "curve_n7": ("curve_traj", {"n": 7}),
+    "fractional_N": ("curve_traj", {"N": 32.5}),
+    "string_N": ("curve_traj", {"N": "x"}),
+    "list_R": ("cap_traj", {"R": [1]}),
+    "no_R": ("cap_traj", {"R": DROP}),
+}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("matrix")
@@ -24,7 +41,7 @@ def inputs(tmp_path_factory):
              ("curve", "axisym", "cap", "cap_traj", "equator_traj", "axisym13_traj",
               "curve_traj", "report",
               "truncated", "four_point", "bad_controls", "list_gauge",
-              "array_header")}
+              "array_header", *EDITED_RECORDS, "string_count")}
     assert cli.main(["exact", "--family", "sphere", "--n", "1", "--t", "-1",
                      "--resolution", "32", "--out", paths["curve"]]) == 0
     assert cli.main(["exact", "--family", "sphere", "--n", "2", "--t", "-1",
@@ -59,11 +76,19 @@ def inputs(tmp_path_factory):
     with open(paths["array_header"], "w") as f:
         f.write("\n".join(["[1, 2]", *records]) + "\n")
     for name, key, value in (("bad_controls", "controls", {"cfl": 0.4, "bogus": 1}),
-                             ("list_gauge", "gauge", [1])):
-        # a control FlowControls does not have; a block that is not an object
+                             ("list_gauge", "gauge", [1]),
+                             ("string_count", "count", str(len(records)))):
+        # a control FlowControls does not have; a block that is not an object;
+        # a record count written as a string
         edited = {**json.loads(header), key: value}
         with open(paths[name], "w") as f:
             f.write("\n".join([json.dumps(edited), *records]) + "\n")
+    for name, (source, fields) in EDITED_RECORDS.items():
+        # the first slice as written, then the second slice edited
+        head, first, second, *rest = open(paths[source]).read().splitlines()
+        rec = {k: v for k, v in {**json.loads(second), **fields}.items() if v is not DROP}
+        with open(paths[name], "w") as f:
+            f.write("\n".join([head, first, json.dumps(rec), *rest]) + "\n")
     # the support of a rounded triangle: convex by the 3-point test that
     # validates bodies, not by the engine's 4-point stencil
     theta = np.arange(64) * (2.0 * math.pi / 64)
@@ -139,13 +164,19 @@ def test_exact_takes_times_in_exponent_form(tmp_path, t, expected):
         assert json.loads(open(out).read())["t"] == expected
 
 
-@pytest.mark.parametrize("name", ["bad_controls", "list_gauge", "array_header"])
+# what each malformed file's message must hold besides "line "
+MESSAGES = {"bad_controls": "line 1: ", "list_gauge": "line 1: ", "array_header": "line 1: ",
+            **{name: "line 3: " for name in EDITED_RECORDS}, "string_count": "expected '"}
+
+
+@pytest.mark.parametrize("name", MESSAGES)
 def test_malformed_records_are_bad_input(inputs, name, capsys):
     # every subcommand reports the file's bad line, as for the matrix above
     d, paths = inputs
     for argv in _argvs(d, paths[name], name):
         assert cli.main(argv) == 2, argv
-        assert "line " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line " in err and MESSAGES[name] in err, (argv, err)
 
 
 def test_cap_inputs_are_rejected_as_bad_input(inputs, capsys):

@@ -16,7 +16,8 @@ are indexed by -t (looking backward in time); a series is BoundedInWindow
 when the sup over the earliest decade of -t exceeds the sup over the most
 recent decade by less than 10% and the log-log slope stays under 0.25,
 GrowingTrend otherwise, and Violated when a configured hard cap is passed.
-Thresholds are explicit and configurable.
+Thresholds are explicit and configurable.  ``VerdictRule.entry`` is the one
+place where a margin series gets its sup, log-log slope and verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .bodies import MODE_CURVE, recentre, shift_support
 from .diagnostics import (H_FLOOR, _Series, _type_quantities, curvature_field,
                           umbilic_deficit)
-from .engine import TimeSlice
+from .engine import TimeSlice, Trajectory
 
 
 class WindowTooShortError(ValueError):
@@ -54,36 +55,6 @@ VIOLATED = "Violated"
 NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class VerdictRule:
-    growth_ratio: float = 1.10       # early-decade sup vs recent-decade sup
-    slope_threshold: float = 0.25    # log margin vs log(-t)
-    hard_caps: dict = field(default_factory=dict)
-
-    def classify(self, key, neg_t, values):
-        values = np.asarray(values, dtype=float)
-        cap = self.hard_caps.get(key)
-        if cap is not None and np.max(values) > cap:
-            return VIOLATED
-        slope = _loglog_slope(neg_t, np.maximum(values, 1e-300))
-        if slope >= self.slope_threshold:
-            return GROWING
-        # series in time order: the "last" decade is the most recent one
-        recent = values[neg_t <= 10.0 * np.min(neg_t)]
-        early = values[neg_t >= np.max(neg_t) / 10.0]
-        if np.max(recent) <= self.growth_ratio * np.max(early):
-            return BOUNDED
-        return GROWING
-
-
-def _loglog_slope(neg_t, values):
-    x = np.log(neg_t)
-    y = np.log(values)
-    if np.ptp(x) == 0.0:
-        return 0.0
-    return float(np.polyfit(x, y, 1)[0])
-
-
 @dataclass(eq=False)
 class ConditionEntry:
     times: np.ndarray
@@ -94,6 +65,42 @@ class ConditionEntry:
 
     def payload(self):
         return {"sup": self.sup, "slope": self.slope, "verdict": self.verdict}
+
+
+@dataclass(frozen=True)
+class VerdictRule:
+    growth_ratio: float = 1.10       # early-decade sup vs recent-decade sup
+    slope_threshold: float = 0.25    # log margin vs log(-t)
+    hard_caps: dict = field(default_factory=dict)
+
+    def entry(self, key, times, values):
+        """The ConditionEntry (sup, log-log slope, verdict) of the margin
+        series ``values`` at the times ``times`` < 0."""
+        values = np.asarray(values, dtype=float)
+        neg_t = -times
+        sup = float(np.max(values))
+        slope = _loglog_slope(neg_t, np.maximum(values, 1e-300))
+        cap = self.hard_caps.get(key)
+        # series in time order: the "last" decade is the most recent one
+        recent = values[neg_t <= 10.0 * np.min(neg_t)]
+        early = values[neg_t >= np.max(neg_t) / 10.0]
+        if cap is not None and sup > cap:
+            verdict = VIOLATED
+        elif slope >= self.slope_threshold:
+            verdict = GROWING
+        elif np.max(recent) <= self.growth_ratio * np.max(early):
+            verdict = BOUNDED
+        else:
+            verdict = GROWING
+        return ConditionEntry(times, values, sup, slope, verdict)
+
+
+def _loglog_slope(neg_t, values):
+    x = np.log(neg_t)
+    y = np.log(values)
+    if np.ptp(x) == 0.0:
+        return 0.0
+    return float(np.polyfit(x, y, 1)[0])
 
 
 @dataclass(eq=False)
@@ -139,27 +146,16 @@ def check_conditions(traj, rule=None):
     _require_two_decades(traj)
     s = _Series(traj)
     tq = _type_quantities(traj, s)
-    neg_t = -tq.times
-    conditions = {}
-
     if traj.n >= 2:
-        eps_margin = 1.0 / np.maximum(s["eps_min"], 1e-300)
-        conditions["ii"] = ConditionEntry(tq.times, eps_margin,
-                                          float(np.max(eps_margin)),
-                                          _loglog_slope(neg_t, np.maximum(eps_margin, 1e-300)),
-                                          rule.classify("ii", neg_t, eps_margin))
+        conditions = {"ii": rule.entry("ii", tq.times, 1.0 / np.maximum(s["eps_min"], 1e-300))}
     else:
         # pinching is vacuous for plane curves
         zeros = np.zeros_like(tq.times)
-        conditions["ii"] = ConditionEntry(tq.times, zeros, 0.0, 0.0, NOT_APPLICABLE)
-
+        conditions = {"ii": ConditionEntry(tq.times, zeros, 0.0, 0.0, NOT_APPLICABLE)}
     for key, series in (("iii", tq.diam_over_growth), ("iv", tq.radius_ratio),
                         ("v", tq.H_ratio), ("vi", tq.iso),
                         ("vii", tq.sqrt_t_maxH)):
-        conditions[key] = ConditionEntry(
-            tq.times, series, float(np.max(series)),
-            _loglog_slope(neg_t, np.maximum(series, 1e-300)),
-            rule.classify(key, neg_t, series))
+        conditions[key] = rule.entry(key, tq.times, series)
 
     return ConditionReport(window=(float(tq.times[0]), float(tq.times[-1])),
                            n=traj.n, conditions=conditions,
@@ -309,15 +305,14 @@ def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
         raise TypeError("diameter and curvature decay apply to Euclidean trajectories")
     s = _Series(traj)
     ts = s["t"]
-    neg_t = -ts
     diam_m = s["diam_growth"]
     hu = s["typeI"]
     hl = s["sqrt_neg_t"] * s["minH"]
 
-    diam_verdict = rule.classify("iii", neg_t, diam_m)
+    diam_verdict = rule.entry("iii", ts, diam_m).verdict
     # two-sided curvature margin: upper ratio and inverse lower ratio
     curv_margin = np.maximum(hu, 1.0 / np.maximum(hl, 1e-300))
-    curvature_verdict = rule.classify("curvature", neg_t, curv_margin)
+    curvature_verdict = rule.entry("curvature", ts, curv_margin).verdict
 
     c = float(np.max(s["diam_I"] / s["sqrt_neg_t"]))
     transfer = 0.0
@@ -338,19 +333,19 @@ def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
 # type-II rescaling and the translating-soliton signature
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class RescaledFlow:
-    slices: list            # TimeSlice with tau times, curvature caches filled
+@dataclass(eq=False, kw_only=True)
+class RescaledFlow(Trajectory):
+    """A type-II rescaled flow: its slices carry tau times and filled curvature
+    caches.  To a Trajectory it adds the anchor time t_k and scale L_k, the
+    base sample index p_index of the curvature max, the marked sample index
+    and normal angle after rescaling, and type1_flag (sqrt(-t) max H varies
+    by under 10% over the window)."""
     t_k: float
     L_k: float
     p_index: int
     marked_index: int
     marked_theta: float
-    base_meta: dict
     type1_flag: bool
-
-    def times(self):
-        return np.array([s.t for s in self.slices])
 
 
 def type_two_rescale(traj, window):
@@ -423,9 +418,9 @@ def type_two_rescale(traj, window):
         tau = L_k * L_k * (ts[i] - t_k)
         out.append(TimeSlice(tau if tau != 0.0 else 0.0, new_body, shift))
     # tau times of a rescaled ancient flow are strictly increasing already
-    return RescaledFlow(slices=out, t_k=t_k, L_k=L_k, p_index=j_k,
-                        marked_index=marked_index, marked_theta=marked_theta,
-                        base_meta=dict(traj.meta), type1_flag=type1)
+    return RescaledFlow(slices=out, meta={"engine": f"rescaled:{traj.engine}"}, t_k=t_k,
+                        L_k=L_k, p_index=j_k, marked_index=marked_index,
+                        marked_theta=marked_theta, type1_flag=type1)
 
 
 def fit_translation(H, nu, weights):

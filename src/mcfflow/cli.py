@@ -19,7 +19,7 @@ from . import analysis, diagnostics, exact, geometry, trajio
 from ._solvers import InfeasibleError
 from .bodies import CapState, NonConvexBodyError, random_convex_curve, random_convex_profile
 from .engine import (ConvexityLostError, FlowControls, PoleSingularityError, StepFailedError,
-                     Trajectory, evolve, evolve_cap)
+                     evolve, evolve_cap)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,11 +101,6 @@ def _cmd_exact(args):
     return EXIT_OK
 
 
-def _controls_from_config(cfg):
-    raw = dict(cfg.get("controls", {}))
-    return FlowControls(**raw) if raw else FlowControls()
-
-
 def _initial_from_config(cfg, seed):
     engine_kind = cfg["engine"]
     n = cfg["n"]
@@ -135,7 +130,7 @@ def _initial_from_config(cfg, seed):
 
 def _cmd_run(args):
     cfg, digest = trajio.load_config(args.config)
-    controls = _controls_from_config(cfg)
+    controls = FlowControls(**cfg.get("controls", {}))
     if cfg["engine"] == "cap":
         cap = cfg.get("cap")
         if not cap:
@@ -215,8 +210,7 @@ def _cmd_rescale(args):
         raise ValueError("rescale applies to Euclidean flows, not a geodesic cap")
     rf = analysis.type_two_rescale(traj, args.window)
     fit = analysis.soliton_proximity(rf)
-    out = Trajectory(rf.slices, {"engine": f"rescaled:{traj.engine}"})
-    trajio.write_trajectory(out, args.out)
+    trajio.write_trajectory(rf, args.out)
     trajio.emit_report({
         "window": args.window,
         "t_k": rf.t_k,

@@ -307,12 +307,8 @@ def harnack_quantity(traj, t):
     wherever grad H = 0 (spheres, caps) the correction is zero.  Boundary
     snapshot times are rejected.
     """
+    i = traj.interior_index(t)
     ts = traj.times()
-    i = int(np.argmin(np.abs(ts - t)))
-    if abs(ts[i] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError("t must match a snapshot time")
-    if i == 0 or i == len(ts) - 1:
-        raise ValueError("Harnack derivative needs an interior snapshot time")
     vals = _harnack([curvature_field(sl) for sl in traj.slices[i - 1:i + 2]], ts[i - 1:i + 2], 1)
     return vals, float(np.min(vals))
 

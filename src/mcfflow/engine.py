@@ -98,20 +98,35 @@ class TimeSlice:
     shift: object = None
 
 
+_KIND_KEYS = ("kind", "n", "N", "R")
+
+
 def _kind(body):
-    """(kind, n, N) of one slice's body; N is None for a cap."""
+    """(kind, n, N, R) of one slice's body, named by _KIND_KEYS; N is None for
+    a cap, the ambient radius R None for a support profile."""
     if isinstance(body, CapState):
-        return "cap", body.n, None
-    return body.mode, body.n, body.N
+        return "cap", body.n, None, body.R
+    return body.mode, body.n, body.N, None
 
 
 @dataclass(eq=False)
 class Trajectory:
     """Time slices of one flow, in strictly increasing time, plus metadata.
 
-    Every slice has the same kind ("curve", "axisym" or "cap"), dimension n
-    and grid size N (None for caps); ``engine``, ``n`` and ``N`` read them
-    off the first slice.  ``meta`` holds provenance and run counters.
+    Every slice has the same kind ("curve", "axisym" or "cap"), dimension n,
+    grid size N (None for caps) and, for caps, ambient radius R; ``engine``,
+    ``n`` and ``N`` read them off the first slice.
+
+    ``meta`` holds what ``trajio.write_trajectory`` puts in the header, plus
+    the run counter ``accepted_steps`` (``evolve``):
+
+    - ``engine``: a label that overrides the slices' kind in the header,
+      e.g. "exact:sphere" (``sample_trajectory``) or "rescaled:curve"
+      (``type_two_rescale``); a file read back keeps its header's label;
+    - ``controls``, ``user_t0``: ``evolve`` and ``evolve_cap``;
+    - ``s_ext``, the extinction time on the internal clock: ``evolve``;
+    - ``R``, the ambient radius: ``evolve_cap`` and ``sample_trajectory``;
+    - ``seed``, ``config_hash``: ``mcfflow run``.
     """
     slices: list
     meta: dict = field(default_factory=dict)
@@ -121,7 +136,7 @@ class Trajectory:
             raise ValueError("a trajectory needs at least one slice")
         first = _kind(self.slices[0].body)
         for k, sl in enumerate(self.slices[1:], start=1):
-            for name, got, want in zip(("kind", "n", "N"), _kind(sl.body), first):
+            for name, got, want in zip(_KIND_KEYS, _kind(sl.body), first):
                 if got != want:
                     raise ValueError(f"slice {k} has {name} = {got}, "
                                      f"not the trajectory's {name} = {want}")
@@ -139,12 +154,20 @@ class Trajectory:
     def __len__(self):
         return len(self.slices)
 
+    def interior_index(self, t):
+        """Index of the snapshot at time t; t must have a snapshot on either side."""
+        ts = self.times()
+        i = int(np.argmin(np.abs(ts - t)))
+        if abs(ts[i] - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError("t must match a snapshot time")
+        if i == 0 or i == len(ts) - 1:
+            raise ValueError("t must be an interior snapshot time")
+        return i
+
     def with_time_shift(self, delta):
         """Re-anchored copy: every slice time moved by -delta (gauge change)."""
         slices = [TimeSlice(s.t - delta, s.body, s.shift) for s in self.slices]
-        meta = dict(self.meta)
-        meta["time_shift_applied"] = meta.get("time_shift_applied", 0.0) + delta
-        return Trajectory(slices, meta)
+        return Trajectory(slices, dict(self.meta))
 
     def parabolic_rescale(self, lam):
         """Space x lambda, time x lambda^2; maps flows to flows."""
@@ -155,9 +178,7 @@ class Trajectory:
             body = s.body.scaled(lam)
             shift = None if s.shift is None else np.asarray(s.shift) * lam
             out.append(TimeSlice(lam * lam * s.t, body, shift))
-        meta = dict(self.meta)
-        meta["parabolic_rescale"] = meta.get("parabolic_rescale", 1.0) * lam
-        return Trajectory(out, meta)
+        return Trajectory(out, dict(self.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +271,7 @@ def evolve(initial, t0, controls):
 
     ``t0`` is the caller's intended initial time label; the returned slices
     carry re-anchored times (extrapolated extinction at t = 0) and the meta
-    dict records both the extinction estimate and the gap to -t0.
+    dict records the extinction estimate and the accepted step count.
     """
     if not isinstance(initial, SupportProfile):
         raise TypeError("evolve expects a SupportProfile")
@@ -316,15 +337,7 @@ def evolve(initial, t0, controls):
 
     s_ext = _extinction_estimate(records, n)
     slices = [TimeSlice(s_i - s_ext, body, shift_i) for s_i, body, shift_i in records]
-    meta = {
-        "engine": mode,
-        "controls": controls,
-        "user_t0": t0,
-        "s_ext": s_ext,
-        "t0_gap": abs(t0 + s_ext),
-        "final_time": slices[-1].t,
-        "accepted_steps": accepted,
-    }
+    meta = {"controls": controls, "user_t0": t0, "s_ext": s_ext, "accepted_steps": accepted}
     return Trajectory(slices, meta)
 
 
@@ -393,4 +406,4 @@ def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
         times = np.append(times[times < t_end], t_end)
     slices = [TimeSlice(float(t), CapState(R, n, _cap_geodesic_radius(R, n, t - T)))
               for t in times]
-    return Trajectory(slices, {"engine": "cap", "R": R, "controls": controls, "user_t0": t0})
+    return Trajectory(slices, {"R": R, "controls": controls, "user_t0": t0})

@@ -297,12 +297,8 @@ def flow_residual(family, t, sample_count=64, dt=None, analytic_velocity=False):
 
 def _trajectory_residual(traj, t):
     from .diagnostics import curvature_field
+    i = traj.interior_index(t)
     ts = traj.times()
-    i = int(np.argmin(np.abs(ts - t)))
-    if abs(ts[i] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError("t must match a snapshot time")
-    if i == 0 or i == len(ts) - 1:
-        raise ValueError("t must be interior to the trajectory")
     before, here, after = traj.slices[i - 1], traj.slices[i], traj.slices[i + 1]
     if isinstance(here.body, CapState):
         v = (after.body.rho - before.body.rho) / (ts[i + 1] - ts[i - 1])
@@ -359,5 +355,4 @@ def sample_trajectory(family, times, resolution=256):
         else:
             raise ValueError(f"cannot sample a {family.kind!r} trajectory")
         slices.append(TimeSlice(t, body))
-    return Trajectory(slices, {"engine": f"exact:{family.kind}", "family": family.kind,
-                               "R": family.R, "exact": True})
+    return Trajectory(slices, {"engine": f"exact:{family.kind}", "R": family.R})

@@ -22,7 +22,7 @@ directly at the off-grid iterates (see _extrema).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -45,13 +45,7 @@ class BodyMeasurements:
     iso_ratio: float
 
     def as_dict(self):
-        return {
-            "w_minus": self.w_minus, "w_plus": self.w_plus,
-            "diam": self.diam, "diam_I": self.diam_I,
-            "rho_minus": self.rho_minus, "rho_plus": self.rho_plus,
-            "area": self.area, "volume": self.volume,
-            "iso_ratio": self.iso_ratio,
-        }
+        return asdict(self)
 
 
 def _direction_angle(body, direction):
@@ -343,7 +337,7 @@ def shadow_measurements(body):
     """Shadow facts used by projection inequalities (n=1 and axisym n=2)."""
     if body.mode == MODE_AXISYM and body.n != 2:
         raise ValueError("shadow facts implemented for n = 1 and axisym n = 2")
-    (w_minus, t0), (w_plus, _), _ = _extrema(body)
+    (w_minus, t0), (w_plus, _), (diam, _) = _extrema(body)
     if body.mode == MODE_CURVE:
         # project onto the normal line of the minimal-width direction
         length = width(body, t0 + math.pi / 2.0)
@@ -356,9 +350,7 @@ def shadow_measurements(body):
     # min width equatorial: shadow is the planar profile region
     rho = body.curvature_radius()
     profile_area = float(np.sum(body.h * rho) * body.step)  # full period of the even profile * 1/2
-    diam_profile = float(np.max(_grid_width_and_chord(body)[1]))
-    return ShadowFacts(area=profile_area, diam=diam_profile,
-                       w_minus=w_minus, w_plus=w_plus)
+    return ShadowFacts(area=profile_area, diam=diam, w_minus=w_minus, w_plus=w_plus)
 
 
 def measure(body):

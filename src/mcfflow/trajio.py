@@ -11,6 +11,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import io
@@ -21,7 +22,7 @@ import jsonschema
 import numpy as np
 
 from .bodies import CapState, MODE_AXISYM, MODE_CURVE, SupportProfile
-from .engine import FlowControls, TimeSlice, Trajectory, _kind
+from .engine import _KIND_KEYS, FlowControls, TimeSlice, Trajectory, _kind
 
 SCHEMA_VERSION = "mcfflow/1"
 
@@ -65,14 +66,6 @@ def _dumps(payload):
     return json.dumps(_clean(payload), allow_nan=False, separators=(",", ":"))
 
 
-def _controls_payload(controls):
-    if controls is None:
-        return None
-    return {"cfl": controls.cfl, "max_dt": controls.max_dt,
-            "stop_rho_plus": controls.stop_rho_plus,
-            "snapshot_stride": controls.snapshot_stride}
-
-
 def _slice_payload(sl, gauge):
     body = sl.body
     if isinstance(body, CapState):
@@ -94,6 +87,7 @@ def _slice_payload(sl, gauge):
 def write_trajectory(traj, path):
     """Write a trajectory as header + one snapshot record per line."""
     meta = traj.meta or {}
+    controls = meta.get("controls")
     gauge = {
         "t_ext_estimate": meta.get("s_ext"),
         "recentered": any(s.shift is not None for s in traj.slices),
@@ -101,11 +95,11 @@ def write_trajectory(traj, path):
     header = {
         "schema": SCHEMA_VERSION,
         "kind": "trajectory",
-        "engine": meta.get("engine", traj.engine),
+        "engine": meta.get("engine") or traj.engine,
         "n": traj.n,
         "N": traj.N,
         "count": len(traj.slices),
-        "controls": _controls_payload(meta.get("controls")),
+        "controls": None if controls is None else dataclasses.asdict(controls),
         "gauge": gauge,
         "provenance": {
             "seed": meta.get("seed"),
@@ -144,27 +138,51 @@ def _finite_array(values):
 _REPR_KIND = {REPR_CURVE: MODE_CURVE, REPR_AXISYM: MODE_AXISYM, REPR_CAP: "cap"}
 
 
+_NUMBER = {int, float}  # a JSON number as json.loads gives it; a bool is neither
+
+
+def _field(rec, key, types=_NUMBER):
+    """rec[key], whose type must be one of types exactly (bool subclasses int)."""
+    value = rec[key]
+    if type(value) not in types:
+        raise TypeError(f"{key} = {value!r} is not "
+                        f"{'a number' if types is _NUMBER else 'an integer'}")
+    return value
+
+
+def _numbers(rec, key):
+    """rec[key] as a finite float array; it must be a list of JSON numbers."""
+    values = rec[key]
+    if type(values) is not list or not set(map(type, values)) <= _NUMBER:
+        raise TypeError(f"{key} is not a list of numbers")
+    return _finite_array(values)
+
+
 def _record_slice(rec):
-    """(TimeSlice, the record's own (kind, n, N)) of one snapshot record; a
-    malformed record raises TypeError, ValueError or KeyError."""
-    t, n, N, data = rec["t"], rec["n"], rec["N"], _finite_array(rec["data"])
+    """(TimeSlice, the record's own (kind, n, N, R)) of one snapshot record; a
+    malformed record raises TypeError, ValueError, OverflowError or KeyError."""
+    t, n, N = float(_field(rec, "t")), _field(rec, "n", {int}), _field(rec, "N", {int})
+    data = _numbers(rec, "data")
     kind = _REPR_KIND.get(rec["repr"])
     if kind is None:
         raise ValueError(f"unknown repr {rec['repr']!r}")
     if kind == "cap":
-        if len(data) != 1:
-            raise ValueError("cap record needs one value")
-        body = CapState(float(rec["R"]), int(n), float(data[0]))
+        if N != 1 or len(data) != 1:
+            raise ValueError(f"cap record needs N = 1 and one value, not N = {N!r} "
+                             f"and {len(data)}")
+        R, N = float(_field(rec, "R")), None
+        body = CapState(R, n, float(data[0]))
     else:
-        body = SupportProfile(kind, int(n), data)
-    shift = rec.get("shift")
-    if shift is not None:
+        R = None
+        body = SupportProfile(kind, n, data)
+    shift = None
+    if rec.get("shift") is not None:
         size = 2 if kind == MODE_CURVE else 1
-        shift = _finite_array(shift)
+        shift = _numbers(rec, "shift")
         if shift.shape != (size,):
             raise ValueError(f"{kind} shift needs {size} value(s), not {shift.tolist()!r}")
         shift = shift if size == 2 else float(shift[0])
-    return TimeSlice(float(t), body, shift), (kind, n, None if kind == "cap" else N)
+    return TimeSlice(t, body, shift), (kind, n, N, R)
 
 
 def _header_block(header, key):
@@ -187,7 +205,8 @@ def read_trajectory(path):
     if header.get("schema") != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"schema {header.get('schema')!r} is not {SCHEMA_VERSION!r}")
-    # every record's kind, n and N: the header's n and N where present, else the first record's
+    # every record's kind, n, N and R: the header's n and N where present, else
+    # the first record's
     expect = {key: header[key] for key in ("n", "N") if header.get(key) is not None}
     slices = []
     for i, line in enumerate(lines[1:], start=2):
@@ -198,9 +217,9 @@ def read_trajectory(path):
             sl, stated = _record_slice(rec)
         except KeyError as err:
             raise CorruptRecordError(i, f"missing field {err}") from None
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise CorruptRecordError(i, str(err)) from None
-        for key, got, own in zip(("kind", "n", "N"), _kind(sl.body), stated):
+        for key, got, own in zip(_KIND_KEYS, _kind(sl.body), stated):
             if got != own:
                 raise CorruptRecordError(i, f"record {key} = {own!r} does not fit its "
                                          f"data ({key} = {got!r})")
@@ -219,7 +238,7 @@ def read_trajectory(path):
     gauge, provenance, controls = (_header_block(header, key)
                                    for key in ("gauge", "provenance", "controls"))
     meta = {
-        "engine": header.get("engine", "curve"),
+        "engine": header.get("engine"),
         "s_ext": gauge.get("t_ext_estimate"),
         "seed": provenance.get("seed"),
         "config_hash": provenance.get("config_hash"),

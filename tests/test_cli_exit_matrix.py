@@ -18,7 +18,8 @@ from mcfflow.engine import TimeSlice
 
 
 DROP = object()
-# edits of a run's second snapshot record (line 3): source file, new fields
+# edits of a run's second snapshot record (line 3): source file, new fields;
+# a callable field value maps the field's old value to the new one
 EDITED_RECORDS = {
     "empty_shift": ("axisym13_traj", {"shift": []}),
     "axisym_shift2": ("axisym13_traj", {"shift": [0.0, 0.0]}),
@@ -31,6 +32,16 @@ EDITED_RECORDS = {
     "string_N": ("curve_traj", {"N": "x"}),
     "list_R": ("cap_traj", {"R": [1]}),
     "no_R": ("cap_traj", {"R": DROP}),
+    # JSON types: a number written as a string, a bool for an integer
+    "numeric_string_time": ("curve_traj", {"t": str}),
+    "true_n": ("curve_traj", {"n": True}),
+    "float_n": ("curve_traj", {"n": 1.0}),
+    "numeric_string_data": ("curve_traj", {"data": lambda data: [str(v) for v in data]}),
+    "huge_int_time": ("curve_traj", {"t": -10 ** 400}),  # no float holds it
+    "cap_fractional_N": ("cap_traj", {"N": 32.5}),
+    "cap_string_R": ("cap_traj", {"R": str}),
+    # a cap slice in another ambient sphere (the run has R = 3)
+    "cap_other_R": ("cap_traj", {"R": 5.0}),
 }
 
 
@@ -86,7 +97,9 @@ def inputs(tmp_path_factory):
     for name, (source, fields) in EDITED_RECORDS.items():
         # the first slice as written, then the second slice edited
         head, first, second, *rest = open(paths[source]).read().splitlines()
-        rec = {k: v for k, v in {**json.loads(second), **fields}.items() if v is not DROP}
+        old = json.loads(second)
+        rec = {k: v(old[k]) if callable(v) else v
+               for k, v in {**old, **fields}.items() if v is not DROP}
         with open(paths[name], "w") as f:
             f.write("\n".join([head, first, json.dumps(rec), *rest]) + "\n")
     # the support of a rounded triangle: convex by the 3-point test that

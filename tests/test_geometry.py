@@ -350,6 +350,18 @@ def test_reverse_iso_bound_on_random_bodies():
         assert m.rho_plus / m.rho_minus <= bound + 1e-9
 
 
+def test_equatorial_shadow_diameter_is_the_body_diameter():
+    # an axisym body of least width across the axis casts its meridian
+    # profile, whose diameter is the body's
+    equatorial = 0
+    for seed in range(30):
+        body = bodies.random_convex_profile(2, 64, seed=seed)
+        if geometry._extrema(body)[0][1] >= math.pi / 4.0:
+            equatorial += 1
+            assert geometry.shadow_measurements(body).diam == geometry.measure(body).diam
+    assert equatorial > 0
+
+
 def test_projection_facts():
     # |Omega| < w_- |Sigma|, |M| > |Sigma|, diam(Sigma) >= w_+ - w_-
     for seed in range(20):

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mcfflow import bodies, cli, diagnostics, engine, exact, geometry, trajio
+from mcfflow import analysis, bodies, cli, diagnostics, engine, exact, geometry, trajio
 
 
 @pytest.fixture
@@ -59,11 +59,78 @@ def test_header_with_refinement_control_still_reads(tmp_path, sphere_traj):
     assert all(np.array_equal(a.body.h, b.body.h) for a, b in zip(traj.slices, back.slices))
 
 
-def test_controls_fields_payload_and_schema_agree():
+def test_controls_fields_payload_and_schema_agree(tmp_path):
     # a control must be settable, written and read in all three places
     names = {f.name for f in dataclasses.fields(engine.FlowControls)}
-    assert set(trajio._controls_payload(engine.FlowControls())) == names
     assert set(trajio.CONFIG_SCHEMA["properties"]["controls"]["properties"]) == names
+    # a run's controls, each away from its default, through config and header
+    controls = {"cfl": 0.3, "max_dt": 0.05, "stop_rho_plus": 0.2, "snapshot_stride": 4}
+    assert all(getattr(engine.FlowControls(), k) != v for k, v in controls.items())
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run.jsonl"
+    cfg.write_text(json.dumps({"engine": "cap", "n": 2, "t0": -2.0, "controls": controls,
+                               "cap": {"R": 3.0, "rho0": exact.cap_radius(3.0, 2, -2.0)}}))
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads(out.read_text().splitlines()[0])["controls"] == controls
+    assert trajio.read_trajectory(out).meta["controls"] == engine.FlowControls(**controls)
+
+
+def _small_oval():
+    return exact.sample_trajectory(exact.ExactFamily("oval", 1),
+                                   -np.geomspace(10.0, 0.5, 12), 64)
+
+
+def _rescaled_oval():
+    return analysis.type_two_rescale(_small_oval(), 5.0)
+
+
+@pytest.mark.parametrize("producer", ["evolve", "evolve_cap", "sample_trajectory",
+                                      "type_two_rescale"])
+def test_meta_holds_what_the_header_carries(tmp_path, producer, cap_run):
+    # read(write(x)).meta agrees with x.meta on every key, and x.meta holds
+    # nothing the header does not carry but the run counter accepted_steps
+    traj = {
+        "evolve": lambda: engine.evolve(bodies.random_convex_curve(64, seed=5).scaled(1.5),
+                                        -1.0, engine.FlowControls(cfl=0.4, stop_rho_plus=0.4,
+                                                                  snapshot_stride=16)),
+        "evolve_cap": lambda: cap_run,
+        "sample_trajectory": lambda: exact.sample_trajectory(exact.ExactFamily("sphere", 2),
+                                                             [-3.0, -2.0, -1.0], 32),
+        "type_two_rescale": _rescaled_oval,
+    }[producer]()
+    p = tmp_path / "t.jsonl"
+    trajio.write_trajectory(traj, p)
+    back = trajio.read_trajectory(p)
+    assert set(traj.meta) - {"accepted_steps"} <= set(back.meta)
+    for key, value in back.meta.items():
+        # a key the producer leaves out is written from the slices or as null
+        assert value == traj.meta.get(key, traj.engine if key == "engine" else None), key
+
+
+def test_header_without_engine_is_labelled_by_its_slices(tmp_path):
+    p = tmp_path / "sphere.jsonl"
+    trajio.write_trajectory(exact.sample_trajectory(exact.ExactFamily("sphere", 2),
+                                                    [-2.0, -1.0], 32), p)
+    header, *records = p.read_text().splitlines()
+    bare = {k: v for k, v in json.loads(header).items() if k != "engine"}
+    p.write_text("\n".join([json.dumps(bare), *records]) + "\n")
+    back = trajio.read_trajectory(p)
+    assert back.meta["engine"] is None
+    out = tmp_path / "again.jsonl"
+    trajio.write_trajectory(back, out)
+    assert json.loads(out.read_text().splitlines()[0])["engine"] == "axisym"
+
+
+def test_rescaled_flow_is_written_as_the_cli_writes_it(tmp_path):
+    rf = _rescaled_oval()
+    assert isinstance(rf, engine.Trajectory)
+    assert rf.meta == {"engine": "rescaled:curve"}
+    oval = tmp_path / "oval.jsonl"
+    trajio.write_trajectory(_small_oval(), oval)
+    direct, cli_out = tmp_path / "direct.jsonl", tmp_path / "cli.jsonl"
+    trajio.write_trajectory(rf, direct)
+    assert run_cli("rescale", "--traj", str(oval), "--window", "5", "--out", str(cli_out),
+                   "--report", str(tmp_path / "r.json")) == 0
+    assert direct.read_bytes() == cli_out.read_bytes()
 
 
 def test_roundtrip_cap(tmp_path, cap_run):

@@ -11,11 +11,10 @@ behaviour against the shrinking sphere.
 from .bodies import (CapState, NonConvexBodyError, SupportProfile,
                      random_convex_curve, random_convex_profile,
                      sphere_surface_area, unit_ball_volume)
-from .geometry import (BodyMeasurements, area_and_volume, chebyshev_center,
-                       diameter, hausdorff_distance, inner_radius,
-                       intrinsic_diameter, iso_ratio, measure, min_max_width,
-                       outer_radius, reverse_iso_radius_bound,
-                       shadow_measurements, width)
+from .geometry import (BodyMeasurements, area_and_volume, diameter,
+                       hausdorff_distance, inner_radius, intrinsic_diameter,
+                       iso_ratio, measure, min_max_width, outer_radius,
+                       reverse_iso_radius_bound, shadow_measurements, width)
 from .exact import (ExactFamily, angenent_oval_slice, cap_radius, cap_slice,
                     cylinder_radius, cylinder_reference_curvatures,
                     equator_slice, flow_residual, grim_reaper_profile,

@@ -241,11 +241,6 @@ def inner_radius(body):
     return chebyshev_ball(body.mode, body.h)[1]
 
 
-def chebyshev_center(body):
-    """Center of the largest inscribed ball (2-vector / axial scalar)."""
-    return chebyshev_ball(body.mode, body.h)[0]
-
-
 def area_and_volume(body):
     """(|M|, |Omega|) by support-function quadrature.
 

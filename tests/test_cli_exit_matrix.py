@@ -340,3 +340,40 @@ def test_cap_window_beyond_the_slice_bound_is_bad_input(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "max_dt" in err and "snapshot_stride" in err
+
+
+def _small_run(n=2, N=32, seed=None):
+    """A short run's config: a curve from a random seed, or an axisym sphere."""
+    initial = {"random": {"seed": seed}} if seed is not None else {"family": {"kind": "sphere"}}
+    return {"engine": "curve" if seed is not None else "axisym", "n": n, "N": N, "t0": -1.0,
+            "controls": {"max_dt": 1e-2, "stop_rho_plus": 0.3, "snapshot_stride": 8},
+            "initial": initial}
+
+
+# the config of each integer key given a number type; JSON Schema counts 32.0
+# as an integer, and as floats the three ran into a traceback or an unreadable
+# header
+INTEGER_KEYS = {
+    "N": lambda number: _small_run(N=number(32)),
+    "seed": lambda number: _small_run(n=1, seed=number(3)),
+    "n": lambda number: _small_run(n=number(2)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_KEYS)
+def test_integral_floats_at_integer_keys_run_as_integers(tmp_path, name, capsys):
+    # the run writes what the integer writes, under the hash of the config as
+    # read, so every subcommand reads it as it reads the integer's run
+    written = []
+    for number in (int, float):
+        cfg = INTEGER_KEYS[name](number)
+        cfg_path, out = tmp_path / "cfg.json", str(tmp_path / f"{number.__name__}.jsonl")
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == 0
+        assert cli.main(["diagnose", "--traj", out, "--out", str(tmp_path / "d.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        header, *records = open(out).read().splitlines()
+        header = json.loads(header)
+        assert header["provenance"].pop("config_hash") == trajio.config_hash(cfg)
+        written.append((header, records))
+    assert written[0] == written[1]

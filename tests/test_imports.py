@@ -1,10 +1,10 @@
 """Every module-level import in the package modules is used, and importing
-the package loads no scipy module.
+the package loads neither scipy nor jsonschema.
 
 No linter runs on this code base, so unused imports are found here: a name
 bound by an import at module level must appear again in the module (an
 attribute's base counts).  `__init__` is left out, since its imports are
-the package's public names.  scipy is a test-only oracle.
+the package's public names.  scipy and jsonschema are test-only oracles.
 """
 
 import ast
@@ -34,13 +34,23 @@ def test_module_imports_are_used(path):
     assert sorted(imported - used) == []
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter: this test process has scipy loaded by the oracles
+def _loaded_by_import(packages):
+    """The modules of `packages` that a fresh `import mcfflow` loads."""
+    # a fresh interpreter: this test process has the oracles loaded
     root = str(pathlib.Path(mcfflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, mcfflow; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_by_import(["scipy"]) == "[]"
+
+
+def test_import_loads_no_jsonschema():
+    # nor the packages jsonschema brings: run configs are checked in-house
+    assert _loaded_by_import(["jsonschema", "referencing", "attrs", "rpds"]) == "[]"

@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+from hypothesis import given, settings, strategies as st
 import jsonschema
 import numpy as np
 import pytest
@@ -291,6 +292,119 @@ def test_config_schema_and_messages():
         with pytest.raises(ValueError) as got:
             trajio.validate_config(bad)
         assert str(got.value) == f"invalid config: {expected.value.message}"
+
+
+BOUND_KEYWORDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+# JSON values of every type, some of them config blocks at the wrong place
+OFF_TYPE = [True, False, None, "1", "", [], [1.0], {}, {"kind": "sphere"},
+            {"seed": 3}, 0, 1.5]
+
+
+def _schema_keys(schema):
+    for key, sub in schema.get("properties", {}).items():
+        yield key
+        yield from _schema_keys(sub)
+
+
+UNKNOWN_KEYS = ["bogus", "Engine", *sorted(set(_schema_keys(trajio.CONFIG_SCHEMA)))]
+
+
+def _next_to_bounds(schema):
+    """A leaf's values at and next to each bound, of the right and wrong JSON
+    types, split by jsonschema into (valid, invalid)."""
+    if "enum" in schema:
+        values = [*schema["enum"], "bogus"]
+    elif schema["type"] == "string":
+        values = ["run.jsonl", ""]
+    else:
+        values = []
+        for bound in [schema[k] for k in BOUND_KEYWORDS if k in schema] or [0]:
+            for v in (bound - 1, math.nextafter(bound, -math.inf), bound,
+                      math.nextafter(bound, math.inf), bound + 0.5, bound + 1):
+                values += [v, float(v)]  # an integral float is an integer
+    values += OFF_TYPE
+    is_valid = jsonschema.Draft202012Validator(schema).is_valid
+    return [v for v in values if is_valid(v)], [v for v in values if not is_valid(v)]
+
+
+def _near(schema):
+    """Instances of schema, mostly valid, with every kind of error drawable:
+    values next to each bound, bools, integral floats, strings, unknown or
+    misplaced keys, missing required keys and values of the wrong type."""
+    if "properties" not in schema:
+        valid, invalid = _next_to_bounds(schema)
+        return st.integers(0, 9).flatmap(
+            lambda i: st.sampled_from(invalid if i == 0 else valid))
+    properties = {key: _near(sub) for key, sub in schema["properties"].items()}
+    required = schema.get("required", ())
+
+    @st.composite
+    def objects(draw):
+        if draw(st.integers(0, 23)) == 0:
+            return draw(st.sampled_from(OFF_TYPE))
+        cfg = {}
+        for key, values in properties.items():
+            # a required key is left out once in 16 draws, another in 2
+            if draw(st.integers(0, 15) if key in required else st.booleans()):
+                cfg[key] = draw(values)
+        if draw(st.integers(0, 15)) == 0:
+            for key in draw(st.lists(st.sampled_from(UNKNOWN_KEYS), min_size=1, max_size=3)):
+                cfg[key] = draw(st.sampled_from([1, {}, "x"]))
+        return cfg
+
+    return objects()
+
+
+def _leaves(schema, given, got):
+    """(schema type, given value, validated value) at each key of a valid config."""
+    if "properties" not in schema:
+        yield schema.get("type"), given, got
+        return
+    assert given.keys() == got.keys()
+    for key in given:
+        yield from _leaves(schema["properties"][key], given[key], got[key])
+
+
+# the error jsonschema.validate(cfg, CONFIG_SCHEMA) raises is this validator's
+# best_match; the schema itself is checked once, in test_config_schema_and_messages
+ORACLE = jsonschema.Draft202012Validator(trajio.CONFIG_SCHEMA)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_near(trajio.CONFIG_SCHEMA))
+def test_config_walker_agrees_with_jsonschema(cfg):
+    # accept or refuse as jsonschema does, with its message; an accepted
+    # config comes back with integral floats at integer keys as int
+    expected = jsonschema.exceptions.best_match(ORACLE.iter_errors(cfg))
+    if expected is not None:
+        with pytest.raises(ValueError) as got:
+            trajio.validate_config(cfg)
+        assert str(got.value) == f"invalid config: {expected.message}"
+        return
+    valid = trajio.validate_config(cfg)
+    for kind, given_value, value in _leaves(trajio.CONFIG_SCHEMA, cfg, valid):
+        assert value == given_value
+        assert type(value) is (int if kind == "integer" else type(given_value))
+
+
+def test_config_walker_reads_only_its_keywords():
+    # so CONFIG_SCHEMA cannot grow a keyword the walker would ignore
+    for schema in ({"type": "integer", "multipleOf": 2},
+                   {"type": "object", "additionalProperties": {"type": "string"}}):
+        with pytest.raises(NotImplementedError):
+            trajio._walk(schema, 4, (), [])
+
+
+def test_integral_floats_keep_the_config_hash(tmp_path):
+    # 4.0 is an integer: it is handed back as 4, and hashed as read
+    cfg = {"engine": "cap", "n": 2.0, "t0": -2.0, "controls": {"snapshot_stride": 4.0},
+           "cap": {"R": 3.0, "rho0": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    valid, digest = trajio.load_config(path)
+    assert (valid["n"], valid["controls"]["snapshot_stride"]) == (2, 4)
+    assert type(valid["n"]) is type(valid["controls"]["snapshot_stride"]) is int
+    assert digest == trajio.config_hash(cfg) != trajio.config_hash(valid)
 
 
 def test_emit_csv_report(tmp_path):

@@ -21,11 +21,12 @@ so valid bodies are never rejected, even when the grid underresolves a
 nearly flat side.
 
 The grid's discretization is defined here only: the boundary extension
-``_pad`` (periodic, or even about both poles) under the 3-point (``d1``,
-``d2``) and 4th-order stencils, the pole limit ``azimuthal_curvature`` and
-the trapezoid weights ``SupportProfile.weights``.  ``engine`` reads the
-4th-order stencils and the pole limit, ``diagnostics`` ``d1``, the pole
-limit and the weights, and ``geometry`` the extension and the weights.
+(``_ghosts``, periodic or even about both poles) under the 3-point (``d1``,
+``d2``, on ``_pad``) and 4th-order stencils (on the workspace ``Pad4``), the
+pole limit ``azimuthal_curvature`` and the trapezoid weights
+``SupportProfile.weights``.  ``engine`` reads the 4th-order stencils and the
+pole limit, ``diagnostics`` ``d1``, the pole limit and the weights, and
+``geometry`` the extension and the weights.
 """
 
 from __future__ import annotations
@@ -60,13 +61,23 @@ def unit_ball_volume(dim):
 # the grid's discretization: boundary extension, stencils, pole limit
 # ---------------------------------------------------------------------------
 
-def _pad(mode, h, width):
-    """h extended by `width` samples past each grid end: periodically on the
-    curve grid (e[j] = h[j - width], indices mod N), by even reflection about
-    both poles on the axisym grid (h[-j] = h[j], h[N+j] = h[N-j])."""
+def _ghosts(mode, e, width):
+    """(ghost, source) view pairs of samples e padded by `width` at each end:
+    periodic on the curve grid (e[j] = h[j - width], indices mod N), even
+    about both poles on the axisym grid (h[-j] = h[j], h[N+j] = h[N-j])."""
     if mode == MODE_CURVE:
-        return np.concatenate([h[-width:], h, h[:width]])
-    return np.concatenate([h[width:0:-1], h, h[-2:-2 - width:-1]])
+        return [(e[:width], e[-2 * width:-width]), (e[-width:], e[width:2 * width])]
+    return [(e[:width], e[2 * width:width:-1]),
+            (e[-width:], e[-width - 2:-2 * width - 2:-1])]
+
+
+def _pad(mode, h, width):
+    """h extended by `width` samples past each grid end by the rule of _ghosts."""
+    e = np.empty(len(h) + 2 * width)
+    e[width:-width] = h
+    for ghost, source in _ghosts(mode, e, width):
+        ghost[...] = source
+    return e
 
 
 def d2(mode, h, dx):
@@ -81,31 +92,90 @@ def d1(mode, h, dx):
     return (e[2:] - e[:-2]) / (2.0 * dx)
 
 
-def _d2_five_point(e, dx):
-    # 4th-order second difference of samples padded by two at each end
-    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
-            + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
+def _const(value):
+    """value as a read-only 0-d float64 array.  A ufunc dispatches on one
+    faster than on a Python float, with the same result; the stencils and
+    the engine's stages hold their constants this way."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
-def d2_periodic4(h, dx):
-    return _d2_five_point(_pad(MODE_CURVE, h, 2), dx)
+_EIGHT, _SIXTEEN, _THIRTY = _const(8.0), _const(16.0), _const(30.0)
 
 
-def d2_reflect4(h, dx):
-    return _d2_five_point(_pad(MODE_AXISYM, h, 2), dx)
+class Pad4:
+    """Workspace of the 4th-order stencils on one grid of m samples, built once.
+
+    ``x`` is the interior of a buffer padded by two ghost cells at each end;
+    write samples into it and call a stencil, which fills the ghosts by its
+    grid's rule (``_ghosts``) and writes its result into ``out`` through the
+    buffer's five shifted views and one scratch array, by ufuncs with a
+    positional ``out``.  No call slices or allocates.
+    """
+
+    def __init__(self, h, dx):
+        m = len(h)
+        self.e = np.empty(m + 4)
+        self.x = self.e[2:-2]
+        self.x[:] = h
+        self.shifts = tuple(self.e[i:i + m] for i in range(5))
+        self.ghosts = {mode: _ghosts(mode, self.e, 2) for mode in (MODE_CURVE, MODE_AXISYM)}
+        self.tmp = np.empty(m)
+        self.d1_scale, self.d2_scale = _const(12.0 * dx), _const(12.0 * dx * dx)
+
+    def fill(self, mode):
+        for ghost, source in self.ghosts[mode]:
+            ghost[...] = source
 
 
-def d1_reflect4(h, dx):
-    e = _pad(MODE_AXISYM, h, 2)
-    return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * dx)
+def _d2_five_point(pad, out):
+    # (-e0 + 16 e1 - 30 e2 + 16 e3 - e4) / (12 dx^2) in that order of
+    # operations; 16 e1 - e0 is bit for bit -e0 + 16 e1
+    e0, e1, e2, e3, e4 = pad.shifts
+    t = pad.tmp
+    np.multiply(e1, _SIXTEEN, out)
+    np.subtract(out, e0, out)
+    np.multiply(e2, _THIRTY, t)
+    np.subtract(out, t, out)
+    np.multiply(e3, _SIXTEEN, t)
+    np.add(out, t, out)
+    np.subtract(out, e4, out)
+    return np.divide(out, pad.d2_scale, out)
 
 
-def azimuthal_curvature(kappa1, sin_phi, r):
-    """kappa2 = sin(phi)/r on the axisym grid, with its umbilic limit
+def d2_periodic4(pad, out):
+    """4th-order h'' of the curve samples pad.x, into out."""
+    pad.fill(MODE_CURVE)
+    return _d2_five_point(pad, out)
+
+
+def d2_reflect4(pad, out):
+    """4th-order h'' of the axisym samples pad.x, into out."""
+    pad.fill(MODE_AXISYM)
+    return _d2_five_point(pad, out)
+
+
+def d1_reflect4(pad, out):
+    """4th-order h' of the axisym samples pad.x, into out:
+    (e0 - 8 e1 + 8 e3 - e4) / (12 dx)."""
+    pad.fill(MODE_AXISYM)
+    e0, e1, _, e3, e4 = pad.shifts
+    t = pad.tmp
+    np.multiply(e1, _EIGHT, t)
+    np.subtract(e0, t, out)
+    np.multiply(e3, _EIGHT, t)
+    np.add(out, t, out)
+    np.subtract(out, e4, out)
+    return np.divide(out, pad.d1_scale, out)
+
+
+def azimuthal_curvature(kappa1, sin_phi, r, out):
+    """kappa2 = sin(phi)/r on the axisym grid, into out, with its umbilic limit
     kappa2 -> kappa1 = 1/(h''+h) at both poles, where sin(phi) = r = 0."""
-    kappa2 = kappa1.copy()
-    kappa2[1:-1] = sin_phi[1:-1] / r[1:-1]
-    return kappa2
+    np.divide(sin_phi[1:-1], r[1:-1], out[1:-1])
+    out[::len(out) - 1] = kappa1[::len(kappa1) - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

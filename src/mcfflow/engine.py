@@ -23,6 +23,16 @@ stage (first same as last), and its h'' + h gives the next step's dt bound.
 A rejected attempt leaves h, and so both, unchanged; a recentre changes h
 and re-evaluates them.
 
+The stages are buffered.  One kernel per run (``_Kernel``) holds the state,
+the stage arrays and one stencil workspace (``bodies.Pad4``): a buffer padded
+by two ghost cells at each end, with its five shifted views built once.  A
+stage writes h + (dt/2) k straight into the buffer's interior, the stencil
+fills the ghosts by the grid's boundary rule, and every array operation
+after that is a ufunc writing into a buffer, in the order of operations of
+the textbook formulas.  So no stage pads, slices or allocates, and the
+trajectories are bit-identical to the allocating formulas.  ``step_curve``
+and ``step_axisym`` take their one step on the same kernel.
+
 Time gauge.  The flow runs in an internal clock s >= 0 and cannot know the
 extinction time in advance.  After the run the origin is re-anchored so the
 extrapolated extinction lands at t = 0: curve runs use the exact area law
@@ -39,8 +49,8 @@ import math
 import numpy as np
 
 from . import geometry
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, NonConvexBodyError,
-                     _cap_geodesic_radius, azimuthal_curvature, d1_reflect4, d2_periodic4,
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, Pad4, SupportProfile, NonConvexBodyError,
+                     _cap_geodesic_radius, _const, azimuthal_curvature, d1_reflect4, d2_periodic4,
                      d2_reflect4, recentre)
 
 
@@ -80,9 +90,9 @@ class FlowControls:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
-        if self.stop_rho_plus <= 0.0:
+        if not self.stop_rho_plus > 0.0:
             raise ValueError("stop_rho_plus must be positive")
-        if self.max_dt <= 0.0 or self.snapshot_stride < 1:
+        if not self.max_dt > 0.0 or self.snapshot_stride < 1:
             raise ValueError("bad controls")
 
 
@@ -182,66 +192,122 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides (4th-order stencils; raise on invalid intermediate states)
+# the stepping kernel: RK4 on buffers built once per run
 # ---------------------------------------------------------------------------
 
-def _curve_rhs(h, dtheta):
-    rho = d2_periodic4(h, dtheta) + h
-    if rho.min() <= 0.0:
-        raise ConvexityLostError("h'' + h <= 0 inside a stage")
-    return -1.0 / rho, rho
+_ONE, _MINUS_ONE, _TWO = _const(1.0), _const(-1.0), _const(2.0)
 
 
-def _axisym_rhs(h, dphi, n, sin_phi, cos_phi):
-    rho = d2_reflect4(h, dphi) + h
-    if rho.min() <= 0.0:
-        raise ConvexityLostError("h'' + h <= 0 inside a stage")
-    hp = d1_reflect4(h, dphi)
-    r = h * sin_phi + hp * cos_phi
-    if r[1:-1].min() <= 0.0:
-        raise PoleSingularityError("profile touched the axis at an interior node")
-    kappa1 = 1.0 / rho
-    kappa2 = azimuthal_curvature(kappa1, sin_phi, r)
-    return -(kappa1 + (n - 1) * kappa2), rho
+class _Kernel:
+    """Explicit RK4 of one run on buffers built once (see the module docstring).
 
+    The state is ``h``, its right-hand side ``k``, its h'' + h ``rho`` and
+    ``kmax``, the largest profile curvature 1/rho.  A stage whose h'' + h
+    (or, axisym, r inside the grid) is not positive, NaN included, raises
+    and leaves the state untouched.  The stencils are read from this
+    module's names ``d2_periodic4``, ``d2_reflect4`` and ``d1_reflect4``
+    when the kernel is built, so a wrapper bound there sees every call.
+    """
 
-def _rhs_for(mode, n, dtheta, angles):
-    if mode == MODE_CURVE:
-        return lambda x: _curve_rhs(x, dtheta)
-    sin_phi, cos_phi = np.sin(angles), np.cos(angles)
-    return lambda x: _axisym_rhs(x, dtheta, n, sin_phi, cos_phi)
+    def __init__(self, profile):
+        m, self.dtheta = len(profile.h), profile.step
+        self.pad = Pad4(profile.h, self.dtheta)
+        self.h, self.k, self.rho, self.kmax = np.empty(m), np.empty(m), np.empty(m), None
+        self._k, self._rho = np.empty(m), np.empty(m)  # the stage's
+        self._acc, self._tmp = np.empty(m), np.empty(m)
+        self._half, self._full, self._sixth = np.empty(()), np.empty(()), np.empty(())
+        self._curve = profile.mode == MODE_CURVE
+        if self._curve:
+            self._d2, self._rhs = d2_periodic4, self._curve_rhs
+            return
+        self._d2, self._d1, self._rhs = d2_reflect4, d1_reflect4, self._axisym_rhs
+        phi = profile.angles()
+        self._sin, self._cos = np.sin(phi), np.cos(phi)
+        self._hp, self._r = np.empty(m), np.empty(m)
+        self._r_inner = self._r[1:-1]
+        self._kappa1, self._kappa2 = np.empty(m), np.empty(m)
+        self._n1 = None if profile.n == 2 else _const(profile.n - 1)
 
+    def curvature_radius(self):
+        """h'' + h of the samples in pad.x, unchecked, into a stage array."""
+        rho = self._d2(self.pad, self._rho)
+        return np.add(rho, self.pad.x, rho)
 
-def _rk4(h, dt, rhs, k1):
-    """RK4 step from h given k1 = rhs(h)[0]; returns (new h, rhs(new h)), the
-    latter re-verifying convexity (and axis positivity) after the step."""
-    k2, _ = rhs(h + 0.5 * dt * k1)
-    k3, _ = rhs(h + 0.5 * dt * k2)
-    k4, _ = rhs(h + dt * k3)
-    out = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out, rhs(out)
+    def _curve_rhs(self):
+        rho = self.curvature_radius()
+        if not rho.min() > 0.0:
+            raise ConvexityLostError("h'' + h <= 0 inside a stage")
+        np.divide(_MINUS_ONE, rho, self._k)
 
+    def _axisym_rhs(self):
+        rho = self.curvature_radius()
+        if not rho.min() > 0.0:
+            raise ConvexityLostError("h'' + h <= 0 inside a stage")
+        hp, r = self._d1(self.pad, self._hp), self._r
+        np.multiply(self.pad.x, self._sin, r)
+        np.multiply(hp, self._cos, hp)
+        np.add(r, hp, r)
+        if not self._r_inner.min() > 0.0:
+            raise PoleSingularityError("profile touched the axis at an interior node")
+        kappa1 = np.divide(_ONE, rho, self._kappa1)
+        kappa2 = azimuthal_curvature(kappa1, self._sin, r, self._kappa2)
+        # -(kappa1 + (n-1) kappa2), bit for bit
+        k = np.negative(kappa1, self._k)
+        if self._n1 is not None:  # n - 1 = 1 multiplies exactly
+            np.multiply(kappa2, self._n1, kappa2)
+        np.subtract(k, kappa2, k)
 
-def _dt_bound(rho, dtheta, cfl):
-    kmax = float((1.0 / rho).max())
-    return cfl * dtheta * dtheta / (kmax * kmax)
+    def _commit(self):
+        """The last stage's samples, right-hand side and h'' + h become the state."""
+        np.copyto(self.h, self.pad.x)
+        self.k, self._k = self._k, self.k
+        self.rho, self._rho = self._rho, self.rho
+        if self._curve:
+            self.kmax = -float(self.k.min())  # k = -1/rho
+        else:
+            self.kmax = float(self._kappa1.max())
 
+    def reset(self, h):
+        """Take h as the state and evaluate its right-hand side."""
+        self.pad.x[:] = h
+        self._rhs()
+        self._commit()
 
-def _curvature_radius4(h, mode, dtheta):
-    return (d2_periodic4 if mode == MODE_CURVE else d2_reflect4)(h, dtheta) + h
+    def dt_bound(self, cfl):
+        return cfl * self.dtheta * self.dtheta / (self.kmax * self.kmax)
+
+    def step(self, dt):
+        """One RK4 step of size dt; the new state's right-hand side, which is
+        the next step's first stage, re-checks convexity after the step."""
+        h, x, t, k, acc = self.h, self.pad.x, self._tmp, self._k, self._acc
+        self._half[()], self._full[()], self._sixth[()] = 0.5 * dt, dt, dt / 6.0
+        np.add(h, np.multiply(self.k, self._half, t), x)
+        self._rhs()                                          # k2
+        np.add(self.k, np.multiply(k, _TWO, acc), acc)
+        np.add(h, np.multiply(k, self._half, t), x)
+        self._rhs()                                          # k3
+        np.add(acc, np.multiply(k, _TWO, t), acc)
+        np.add(h, np.multiply(k, self._full, t), x)
+        self._rhs()                                          # k4
+        np.add(acc, k, acc)
+        np.add(h, np.multiply(acc, self._sixth, acc), x)
+        self._rhs()
+        self._commit()
 
 
 def _public_step(profile, dt, cfl_for_check=0.5):
-    rhs = _rhs_for(profile.mode, profile.n, profile.step, profile.angles())
-    k1, rho = rhs(profile.h)
-    bound = _dt_bound(rho, profile.step, cfl_for_check)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be a positive finite number, not {dt!r}")
+    kernel = _Kernel(profile)
+    kernel.reset(profile.h)
+    bound = kernel.dt_bound(cfl_for_check)
     if dt > bound:
         raise StabilityViolationError(
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
-    h, _ = _rk4(profile.h, dt, rhs, k1)
-    if np.min(h) <= 0.0:
+    kernel.step(dt)
+    if np.min(kernel.h) <= 0.0:
         raise ConvexityLostError("support lost positivity; body left the origin")
-    return SupportProfile(profile.mode, profile.n, h)
+    return SupportProfile(profile.mode, profile.n, kernel.h)
 
 
 def step_curve(profile, dt):
@@ -278,19 +344,18 @@ def evolve(initial, t0, controls):
     if t0 >= 0.0:
         raise ValueError("initial time must be negative")
     mode, n = initial.mode, initial.n
-    h = np.array(initial.h, dtype=float)
-    angles = initial.angles()
-    dtheta = initial.step
+    kernel = _Kernel(initial)
+    h = initial.h
     # degenerate inputs failing convexity by < 1e-12 are projected upward
-    rho_min = float(np.min(_curvature_radius4(h, mode, dtheta)))
+    rho_min = float(np.min(kernel.curvature_radius()))
     if -_CONVEXITY_PROJECTION_TOL * max(1.0, np.max(h)) < rho_min <= 0.0:
         h = h + (abs(rho_min) + 1e-15 * np.max(h))
-    rhs = _rhs_for(mode, n, dtheta, angles)
     try:
-        k, rho = rhs(h)  # first stage and dt bound of the first step
+        kernel.reset(h)  # first stage and dt bound of the first step
     except (ConvexityLostError, PoleSingularityError) as err:
         raise NonConvexBodyError(
             f"initial body fails the 4-point stencil test: {err}") from None
+    h = kernel.h  # the kernel's state, updated in place by every step
 
     shift = 0.0  # broadcasts to the curve's 2-vector on the first addition
     s = 0.0
@@ -304,10 +369,10 @@ def evolve(initial, t0, controls):
     accepted = 0
     max_steps = 10 ** 7
     while accepted < max_steps:
-        attempt = min(controls.max_dt, _dt_bound(rho, dtheta, controls.cfl))
+        attempt = min(controls.max_dt, kernel.dt_bound(controls.cfl))
         for _ in range(_MAX_RETRIES + 1):
             try:
-                h, (k, rho) = _rk4(h, attempt, rhs, k)
+                kernel.step(attempt)
                 break
             except (ConvexityLostError, PoleSingularityError) as err:
                 last_err = err
@@ -318,14 +383,14 @@ def evolve(initial, t0, controls):
                 f"step rejected {_MAX_RETRIES + 1} times at s = {s:.6g} "
                 f"(dt down to {dt:.3e}): {last_err}",
                 s=s, dt=dt, check=type(last_err).__name__,
-                min_rho=float(np.min(rho)))
+                min_rho=float(np.min(kernel.rho)))
         s += attempt
         accepted += 1
         # keep the origin well inside the shrinking body
         if h.min() < 0.25 * h.max():
-            h, extra = recentre(mode, h)
+            hc, extra = recentre(mode, h)
             shift = shift + extra
-            k, rho = rhs(h)
+            kernel.reset(hc)
         if accepted % controls.snapshot_stride == 0:
             emit()
             if np.max(records[-1][1].h) < controls.stop_rho_plus:

@@ -49,7 +49,7 @@ def test_pole_limit_is_the_profile_curvature(seed):
     kappa1 = 1.0 / body.curvature_radius()
     sin_phi = np.sin(body.angles())
     r = body.axis_distance()
-    kappa2 = azimuthal_curvature(kappa1, sin_phi, r)
+    kappa2 = azimuthal_curvature(kappa1, sin_phi, r, np.empty_like(kappa1))
     assert kappa2[0] == kappa1[0] and kappa2[-1] == kappa1[-1]
     assert np.array_equal(kappa2[1:-1], sin_phi[1:-1] / r[1:-1])
 
@@ -57,5 +57,6 @@ def test_pole_limit_is_the_profile_curvature(seed):
 def test_pole_limit_is_continuous_on_the_round_sphere():
     body = SupportProfile(MODE_AXISYM, 2, np.full(33, 2.0))
     kappa1 = 1.0 / body.curvature_radius()
-    kappa2 = azimuthal_curvature(kappa1, np.sin(body.angles()), body.axis_distance())
+    kappa2 = azimuthal_curvature(kappa1, np.sin(body.angles()), body.axis_distance(),
+                                 np.empty_like(kappa1))
     assert np.allclose(kappa2, 0.5, rtol=1e-12, atol=0.0)

@@ -15,6 +15,13 @@ def test_controls_validation():
         engine.FlowControls(stop_rho_plus=-1.0)
 
 
+@pytest.mark.parametrize("field", ["cfl", "max_dt", "stop_rho_plus"])
+def test_controls_refuse_nan(field):
+    # a NaN stop threshold is never met, and NaN steps are accepted
+    with pytest.raises(ValueError):
+        engine.FlowControls(**{field: math.nan})
+
+
 def test_step_curve_circle_shrinks_uniformly():
     body = bodies.SupportProfile("curve", 1, np.full(64, 1.0))
     dt = 1e-4
@@ -27,6 +34,16 @@ def test_step_rejects_oversized_dt():
     body = bodies.SupportProfile("curve", 1, np.full(64, 1.0))
     with pytest.raises(engine.StabilityViolationError):
         engine.step_curve(body, 1.0)
+
+
+@pytest.mark.parametrize("dt", [-1e-4, 0.0, -0.0, math.nan, math.inf])
+@pytest.mark.parametrize("mode, n, m", [("curve", 1, 64), ("axisym", 2, 65)])
+def test_step_refuses_dt_that_is_not_positive_and_finite(mode, n, m, dt):
+    # a negative dt would take a backward, anti-diffusive step
+    body = bodies.SupportProfile(mode, n, np.full(m, 1.0))
+    step = engine.step_curve if mode == "curve" else engine.step_axisym
+    with pytest.raises(ValueError, match="positive finite"):
+        step(body, dt)
 
 
 def test_step_mode_dispatch():
@@ -180,7 +197,7 @@ def test_convexity_projection_of_marginal_input():
     theta = np.arange(64) * 2 * math.pi / 64
     h = 1.0 + (1.0 / 3.0) * np.cos(2 * theta)
     h *= 1.0 / (1.0 + 1e-14)  # nudge the margin to ~0
-    rho = bodies.d2_periodic4(h, 2 * math.pi / 64) + h
+    rho = bodies.d2_periodic4(bodies.Pad4(h, 2 * math.pi / 64), np.empty(64)) + h
     assert np.min(rho) > -1e-12
     ctrl = engine.FlowControls(cfl=0.3, max_dt=1e-3, stop_rho_plus=0.3,
                                snapshot_stride=16)

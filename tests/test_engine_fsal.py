@@ -2,10 +2,10 @@
 
 The copy below is the stepping loop as it was before the post-step check
 was reused as the next step's first stage: `np.roll` stencils for curves,
-six stencil evaluations per accepted step, and a fresh stability bound
-from its own stencil every step.  Both loops run the same bodies with the
-same forced stage failure, and every state they recentre or emit must
-match exactly.
+allocating padded stencils for axisym profiles, six stencil evaluations
+per accepted step, and a fresh stability bound from its own stencil every
+step.  Both loops run the same bodies with the same forced stage failure,
+and every state they recentre or emit must match exactly.
 """
 
 import math
@@ -22,6 +22,21 @@ def _roll_d2_periodic4(h, dx):
             + 16.0 * np.roll(h, -1) - np.roll(h, -2)) / (12.0 * dx * dx)
 
 
+def _reflect_pad(h):
+    return np.concatenate([h[2:0:-1], h, h[-2:-4:-1]])
+
+
+def _concat_d2_reflect4(h, dx):
+    e = _reflect_pad(h)
+    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
+            + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
+
+
+def _concat_d1_reflect4(h, dx):
+    e = _reflect_pad(h)
+    return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * dx)
+
+
 def _old_rhs(x, mode, n, dtheta, trig, d2):
     rho = d2(x, dtheta) + x
     if np.min(rho) <= 0.0:
@@ -29,7 +44,7 @@ def _old_rhs(x, mode, n, dtheta, trig, d2):
     if mode == MODE_CURVE:
         return -1.0 / rho, rho
     phi, sin_phi, cos_phi = trig
-    hp = bodies.d1_reflect4(x, dtheta)
+    hp = _concat_d1_reflect4(x, dtheta)
     r = x * sin_phi + hp * cos_phi
     if np.min(r[1:-1]) <= 0.0:
         raise engine.PoleSingularityError("profile touched the axis")
@@ -102,22 +117,41 @@ def _old_evolve(initial, controls, d2):
     return records, accepted, recentres, retries
 
 
+def _non_convex(h):
+    return -2.0 * h - 1.0
+
+
+def _nan(h):
+    return np.full_like(h, np.nan)
+
+
 class _Poison:
     """Wraps a d2 stencil; on one given input it returns a value that makes
-    h'' + h negative, so that stage fails and the step is retried."""
+    h'' + h negative, so that stage fails and the step is retried.  Called
+    as the old loop's allocating stencil, d2(h, dx), or through `in_place`
+    as the engine's, d2(pad, out) on the samples pad.x."""
 
-    def __init__(self, d2, target=None):
-        self.d2, self.target = d2, target
+    def __init__(self, d2, target=None, value=_non_convex):
+        self.d2, self.target, self.value = d2, target, value
         self.inputs, self.fired, self.calls = [], 0, 0
 
-    def __call__(self, h, dx):
+    def _fires(self, h):
         self.calls += 1
         if self.target is None:
             self.inputs.append(h.copy())
         elif np.array_equal(h, self.target):
             self.fired += 1
-            return -2.0 * h - 1.0
-        return self.d2(h, dx)
+            return True
+        return False
+
+    def __call__(self, h, dx):
+        return self.value(h) if self._fires(h) else self.d2(h, dx)
+
+    def in_place(self, pad, out):
+        if self._fires(pad.x):
+            out[:] = self.value(pad.x)
+            return out
+        return self.d2(pad, out)
 
 
 def _check_bit_identical(monkeypatch, body, controls, d2_old, d2_name):
@@ -142,7 +176,7 @@ def _check_bit_identical(monkeypatch, body, controls, d2_old, d2_name):
 
     seen.append([])
     new_poison = _Poison(getattr(bodies, d2_name), target)
-    monkeypatch.setattr(engine, d2_name, new_poison)
+    monkeypatch.setattr(engine, d2_name, new_poison.in_place)
     traj = engine.evolve(body, -1.0, controls)
     assert new_poison.fired == 1
 
@@ -174,7 +208,46 @@ def test_perturbed_sphere_run_matches_old_loop(monkeypatch):
     body = base.translated(0.5)
     controls = engine.FlowControls(cfl=0.2, max_dt=1e-2, stop_rho_plus=0.4,
                                    snapshot_stride=1)
-    _check_bit_identical(monkeypatch, body, controls, bodies.d2_reflect4, "d2_reflect4")
+    _check_bit_identical(monkeypatch, body, controls, _concat_d2_reflect4, "d2_reflect4")
+
+
+def _poisoned_run(monkeypatch, body, controls, name, target, value):
+    """evolve with the engine's stencil `name` poisoned on one stage input."""
+    poison = _Poison(getattr(bodies, name), target, value)
+    monkeypatch.setattr(engine, name, poison.in_place)
+    traj = engine.evolve(body, -1.0, controls)
+    monkeypatch.undo()
+    assert poison.fired == 1
+    return traj
+
+
+@pytest.mark.parametrize("mode", ["curve", "axisym"])
+def test_non_finite_stage_is_retried_like_a_non_convex_one(monkeypatch, mode):
+    # a NaN in h'' + h (or, axisym, in the axis distance r) fails its stage
+    # check, so the run equals the run whose stage was made non-convex
+    if mode == "curve":
+        body = bodies.random_convex_curve(64, 5, amplitude=0.4).translated([0.7, 0.2])
+        d2_old, d2_name, nan_names = _roll_d2_periodic4, "d2_periodic4", ["d2_periodic4"]
+    else:
+        body = bodies.random_convex_profile(2, 32, seed=42, modes=4,
+                                            amplitude=0.05).translated(0.5)
+        d2_old, d2_name = _concat_d2_reflect4, "d2_reflect4"
+        nan_names = ["d2_reflect4", "d1_reflect4"]
+    controls = engine.FlowControls(cfl=0.3, max_dt=1e-2, stop_rho_plus=0.4,
+                                   snapshot_stride=1)
+    probe = _Poison(d2_old)
+    _old_evolve(body, controls, probe)
+    target = probe.inputs[1 + 6 * 5 + 2]
+    ref = _poisoned_run(monkeypatch, body, controls, d2_name, target, _non_convex)
+    for name in nan_names:
+        traj = _poisoned_run(monkeypatch, body, controls, name, target, _nan)
+        assert traj.meta["accepted_steps"] == ref.meta["accepted_steps"]
+        assert traj.meta["s_ext"] == ref.meta["s_ext"]
+        assert len(traj.slices) == len(ref.slices)
+        for a, b in zip(traj.slices, ref.slices):
+            assert a.t == b.t
+            assert np.array_equal(a.body.h, b.body.h)
+            assert np.array_equal(a.shift, b.shift)
 
 
 def test_step_failure_carries_diagnostics(monkeypatch):
@@ -182,16 +255,20 @@ def test_step_failure_carries_diagnostics(monkeypatch):
     controls = engine.FlowControls(cfl=0.4, max_dt=1e-2, stop_rho_plus=0.3)
     calls = []
 
-    def failing(h, dx):  # every stage after the first one fails
+    def failing(pad, out):  # every stage after the first one fails
         calls.append(1)
-        return bodies.d2_periodic4(h, dx) if len(calls) <= 2 else -2.0 * h - 1.0
+        if len(calls) <= 2:
+            return bodies.d2_periodic4(pad, out)
+        out[:] = _non_convex(pad.x)
+        return out
 
     monkeypatch.setattr(engine, "d2_periodic4", failing)
     with pytest.raises(engine.StepFailedError) as info:
         engine.evolve(body, -1.0, controls)
     err = info.value
-    rho = bodies.d2_periodic4(body.h, body.step) + body.h
-    dt0 = min(controls.max_dt, engine._dt_bound(rho, body.step, controls.cfl))
+    rho = _roll_d2_periodic4(body.h, body.step) + body.h
+    kmax = float((1.0 / rho).max())
+    dt0 = min(controls.max_dt, controls.cfl * body.step * body.step / (kmax * kmax))
     assert err.s == 0.0
     assert err.check == "ConvexityLostError"
     assert err.dt == dt0 / 2.0 ** 20

@@ -5,6 +5,15 @@ anywhere: the inscribed-ball problem is a linear program in at most three
 unknowns, solved by a dual simplex, and the enclosing-ball problem is the
 minimum enclosing circle, found by a support-set iteration whose support
 never holds more than three points.
+
+Both solvers are small, so their scalar work (the circle centres, the
+simplex ratio test, every comparison) runs on Python floats: these round
+exactly as numpy's float64 scalars do, at a fraction of the cost per
+operation.  numpy keeps the work over whole arrays (slacks, distances to
+every point), the basis inverses and every `hypot`: each support update of
+the enclosing circle makes one `np.hypot` table of its candidate centres
+against its points.  `math.hypot` is not a substitute, as it differs from
+`np.hypot` by one ulp on about 0.6% of random pairs, which moves radii.
 """
 
 from __future__ import annotations
@@ -31,10 +40,12 @@ class InfeasibleError(ValueError):
 # vertex that violates no row is optimal.  No basis is singular for distinct
 # sample angles: three distinct unit normals are never collinear, and two
 # distinct angles in [0, pi] have distinct cosines.  Ties go to the lowest
-# row index.  If a basis repeats, the entering row becomes the lowest
-# violated one (Bland's rule), which cannot cycle in exact arithmetic; a
-# repeat under it is reported rather than looped on.  When the optimum is a
-# segment, the vertex the pivots reach is returned.
+# row index.  A NaN slack, as a non-finite normal makes, is skipped by the
+# optimality test but chosen first by the entering-row argmin, so such a row
+# is reported rather than pivoted on.  If a basis repeats, the entering row
+# becomes the lowest violated one (Bland's rule), which cannot cycle in exact
+# arithmetic; a repeat under it is reported rather than looped on.  When the
+# optimum is a segment, the vertex the pivots reach is returned.
 # ---------------------------------------------------------------------------
 
 def _max_inscribed(G, h, basis):
@@ -50,22 +61,20 @@ def _max_inscribed(G, h, basis):
         Binv = np.linalg.inv(A[basis])
         x = Binv @ h[basis]
         s = h - A @ x
-        violated = s < -tol
-        if not violated.any():
+        if not np.fmin.reduce(s) < -tol:
             break
-        key = tuple(basis)
+        key = tuple(basis.tolist())
         if key in seen:
             if bland:
                 raise InfeasibleError("dual simplex cycled under Bland's rule")
             bland, seen = True, set()
         seen.add(key)
-        q = int(violated.argmax()) if bland else int(s.argmin())
-        mu = A[q] @ Binv
-        up = mu > 0.0
-        if not up.any():
+        q = int((s < -tol).argmax()) if bland else int(s.argmin())
+        lam, mu = Binv[-1].tolist(), (A[q] @ Binv).tolist()
+        ratios = [(lam[i] / mu[i], i) for i in range(len(mu)) if mu[i] > 0.0]
+        if not ratios:
             raise InfeasibleError("no basis row can leave: the constraints are inconsistent")
-        ratio = np.where(up, Binv[-1] / np.where(up, mu, 1.0), np.inf)
-        basis[int(ratio.argmin())] = q
+        basis[min(ratios)[1]] = q
         basis.sort()
     if x[-1] < -tol:
         raise InfeasibleError("empty body: the support planes leave no room for a ball")
@@ -103,18 +112,11 @@ def chebyshev_center_axis(cosphi, h):
 _REL_EPS = 1.0 + 1e-12
 
 
-def _in_circle(c, p):
-    return np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS + 1e-300
+def _midpoint(p, q):
+    return 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
 
 
-def _diameter_circle(p, q):
-    cx = 0.5 * (p[0] + q[0])
-    cy = 0.5 * (p[1] + q[1])
-    r = max(np.hypot(cx - p[0], cy - p[1]), np.hypot(cx - q[0], cy - q[1]))
-    return (cx, cy, r)
-
-
-def _circumcircle(a, b, c):
+def _circumcentre(a, b, c):
     ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
     oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
     ax, ay = a[0] - ox, a[1] - oy
@@ -127,26 +129,44 @@ def _circumcircle(a, b, c):
               + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
               + (cx * cx + cy * cy) * (bx - ax)) / d
-    r = max(np.hypot(x - a[0], y - a[1]),
-            np.hypot(x - b[0], y - b[1]),
-            np.hypot(x - c[0], y - c[1]))
-    return (x, y, r)
+    return x, y
 
 
 _MAX_SUPPORT_ITERS = 64
+# the index pairs, then the index triples, of a support of n points, each in
+# `itertools.combinations` order: the candidate circles of one support update
+_CANDIDATES = {n: [sub for k in (2, 3) for sub in itertools.combinations(range(n), k)]
+               for n in (2, 3, 4)}
 
 
 def _smallest_cover(support):
-    """(support, circle): the smallest circle through 2 or 3 of the at most
-    4 points given that covers all of them, and the points defining it."""
+    """(support, circle): the smallest circle through 2 or 3 of the 2 to 4
+    points given that covers all of them, and the points defining it.
+
+    Candidates go in `_CANDIDATES` order and the first smallest wins; a
+    triple whose points are collinear has no centre and is dropped.  One
+    `np.hypot` table of every candidate centre against every point gives both
+    a candidate's radius (the largest distance to its defining points) and
+    its containment test.  The points are finite, so a row of the table is
+    NaN throughout or nowhere, and its max decides containment as a test of
+    every point would.
+    """
+    subsets, centres = [], []
+    for sub in _CANDIDATES[len(support)]:
+        c = (_midpoint(support[sub[0]], support[sub[1]]) if len(sub) == 2
+             else _circumcentre(support[sub[0]], support[sub[1]], support[sub[2]]))
+        if c is not None:
+            subsets.append(sub)
+            centres.append(c)
+    offset = np.array(centres)[:, None, :] - np.array(support)
+    dist = np.hypot(offset[..., 0], offset[..., 1]).tolist()
     best = None
-    for k in (2, 3):
-        for sub in itertools.combinations(support, k):
-            c = _diameter_circle(*sub) if k == 2 else _circumcircle(*sub)
-            if c is None or (best is not None and c[2] >= best[1][2]):
-                continue
-            if all(_in_circle(c, p) for p in support):
-                best = (list(sub), c)
+    for sub, (cx, cy), row in zip(subsets, centres, dist):
+        r = max([row[i] for i in sub])
+        if best is not None and r >= best[1][2]:
+            continue
+        if max(row) <= r * _REL_EPS + 1e-300:
+            best = ([support[i] for i in sub], (cx, cy, r))
     return best
 
 
@@ -167,14 +187,13 @@ def _enclosing_circle(pts):
     x, y = pts[:, 0], pts[:, 1]
     i = int(np.argmax(np.hypot(x - x[0], y - y[0])))
     j = int(np.argmax(np.hypot(x - x[i], y - y[i])))
-    support = [tuple(pts[i]), tuple(pts[j])]
-    c = _diameter_circle(*support)
+    support, c = _smallest_cover([tuple(pts[i].tolist()), tuple(pts[j].tolist())])
     for _ in range(_MAX_SUPPORT_ITERS):
         d = np.hypot(x - c[0], y - c[1])
         k = int(np.argmax(d))
         if d[k] <= c[2] * _REL_EPS + 1e-300:
             return c
-        support, c = _smallest_cover(support + [tuple(pts[k])])
+        support, c = _smallest_cover(support + [tuple(pts[k].tolist())])
     raise FloatingPointError(
         f"enclosing circle did not settle in {_MAX_SUPPORT_ITERS} support updates")
 

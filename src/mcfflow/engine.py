@@ -341,8 +341,8 @@ def evolve(initial, t0, controls):
     """
     if not isinstance(initial, SupportProfile):
         raise TypeError("evolve expects a SupportProfile")
-    if t0 >= 0.0:
-        raise ValueError("initial time must be negative")
+    if not t0 < 0.0:
+        raise ValueError("t0 must be negative")
     mode, n = initial.mode, initial.n
     kernel = _Kernel(initial)
     h = initial.h
@@ -441,7 +441,7 @@ def evolve_cap(R, rho0, t0, controls, n=2, t_stop=None):
     (t_stop < t0) approach the equator monotonically.
     """
     start = CapState(R, n, rho0)  # validates R, n and rho0 <= pi R/2 (clamped)
-    if t0 >= 0.0:
+    if not t0 < 0.0:
         raise ValueError("t0 must be negative")
     snap_step = controls.max_dt * controls.snapshot_stride
 

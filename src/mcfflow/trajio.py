@@ -314,7 +314,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "engine": {"enum": ["curve", "axisym", "cap"]},
         "n": {"type": "integer", "minimum": 1},
-        "N": {"type": "integer", "minimum": 16},
+        "N": {"type": "integer", "minimum": 16, "maximum": 16384},
         "t0": {"type": "number", "exclusiveMaximum": 0},
         "t_stop": {"type": "number"},
         "controls": {
@@ -356,7 +356,7 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "properties": {
                         "seed": {"type": "integer", "minimum": 0},
-                        "modes": {"type": "integer", "minimum": 2},
+                        "modes": {"type": "integer", "minimum": 2, "maximum": 256},
                         "amplitude": {"type": "number",
                                       "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                         "radius": {"type": "number", "exclusiveMinimum": 0},

@@ -4,7 +4,11 @@ Each is an independent, slower or more literal form of something the
 package computes, kept here for tests to compare against.
 """
 
+import itertools
+
 import numpy as np
+
+from mcfflow._solvers import InfeasibleError
 
 
 def cubic_excess_pairform(lambdas):
@@ -17,3 +21,113 @@ def cubic_excess_pairform(lambdas):
             li, lj = lambdas[:, i], lambdas[:, j]
             out += li * lj * (li - lj) ** 2
     return out
+
+
+# ---------------------------------------------------------------------------
+# The two small solvers of `mcfflow._solvers` as they were written when every
+# scalar went through numpy: one `np.hypot` call per distance, one containment
+# test per point and candidate, and an array ratio test in the dual simplex.
+# Frozen here so the solvers can be checked against them bit for bit.
+# ---------------------------------------------------------------------------
+
+_REL_EPS = 1.0 + 1e-12
+_MAX_SUPPORT_ITERS = 64
+
+
+def _in_circle(c, p):
+    return np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS + 1e-300
+
+
+def _diameter_circle(p, q):
+    cx = 0.5 * (p[0] + q[0])
+    cy = 0.5 * (p[1] + q[1])
+    r = max(np.hypot(cx - p[0], cy - p[1]), np.hypot(cx - q[0], cy - q[1]))
+    return (cx, cy, r)
+
+
+def _circumcircle(a, b, c):
+    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
+    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
+    ax, ay = a[0] - ox, a[1] - oy
+    bx, by = b[0] - ox, b[1] - oy
+    cx, cy = c[0] - ox, c[1] - oy
+    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
+    if d == 0.0:
+        return None
+    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+              + (cx * cx + cy * cy) * (ay - by)) / d
+    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+              + (cx * cx + cy * cy) * (bx - ax)) / d
+    r = max(np.hypot(x - a[0], y - a[1]),
+            np.hypot(x - b[0], y - b[1]),
+            np.hypot(x - c[0], y - c[1]))
+    return (x, y, r)
+
+
+def _smallest_cover(support):
+    best = None
+    for k in (2, 3):
+        for sub in itertools.combinations(support, k):
+            c = _diameter_circle(*sub) if k == 2 else _circumcircle(*sub)
+            if c is None or (best is not None and c[2] >= best[1][2]):
+                continue
+            if all(_in_circle(c, p) for p in support):
+                best = (list(sub), c)
+    return best
+
+
+def enclosing_circle(pts):
+    """(cx, cy, r) of the minimum enclosing circle of an (m,2) point array."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError("expected a nonempty (m,2) point array")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point in the enclosing-circle input")
+    x, y = pts[:, 0], pts[:, 1]
+    i = int(np.argmax(np.hypot(x - x[0], y - y[0])))
+    j = int(np.argmax(np.hypot(x - x[i], y - y[i])))
+    support = [tuple(pts[i]), tuple(pts[j])]
+    c = _diameter_circle(*support)
+    for _ in range(_MAX_SUPPORT_ITERS):
+        d = np.hypot(x - c[0], y - c[1])
+        k = int(np.argmax(d))
+        if d[k] <= c[2] * _REL_EPS + 1e-300:
+            return c
+        support, c = _smallest_cover(support + [tuple(pts[k])])
+    raise FloatingPointError(
+        f"enclosing circle did not settle in {_MAX_SUPPORT_ITERS} support updates")
+
+
+def max_inscribed(G, h, basis):
+    """(c, r) maximizing r subject to G c + r <= h, from a dual-feasible basis."""
+    h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise InfeasibleError("non-finite support value")
+    A = np.column_stack([G, np.ones(len(h))])
+    tol = 1e-9 * max(1.0, 2.0 * float(np.max(np.abs(h))) + 1.0)
+    basis = np.array(basis)
+    seen, bland = set(), False
+    while True:
+        Binv = np.linalg.inv(A[basis])
+        x = Binv @ h[basis]
+        s = h - A @ x
+        violated = s < -tol
+        if not violated.any():
+            break
+        key = tuple(basis)
+        if key in seen:
+            if bland:
+                raise InfeasibleError("dual simplex cycled under Bland's rule")
+            bland, seen = True, set()
+        seen.add(key)
+        q = int(violated.argmax()) if bland else int(s.argmin())
+        mu = A[q] @ Binv
+        up = mu > 0.0
+        if not up.any():
+            raise InfeasibleError("no basis row can leave: the constraints are inconsistent")
+        ratio = np.where(up, Binv[-1] / np.where(up, mu, 1.0), np.inf)
+        basis[int(ratio.argmin())] = q
+        basis.sort()
+    if x[-1] < -tol:
+        raise InfeasibleError("empty body: the support planes leave no room for a ball")
+    return x[:-1], float(x[-1])

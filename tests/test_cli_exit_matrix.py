@@ -342,6 +342,16 @@ def test_cap_window_beyond_the_slice_bound_is_bad_input(tmp_path, capsys):
     assert "max_dt" in err and "snapshot_stride" in err
 
 
+@pytest.mark.parametrize("edit", [{"N": 10 ** 13}, {"initial": {"random": {"modes": 10 ** 11}}}],
+                         ids=["N", "modes"])
+def test_oversized_grids_are_bad_input(tmp_path, edit, capsys):
+    # numpy's MemoryError at the first allocation escaped as a traceback
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"engine": "curve", "n": 1, "t0": -1.0, **edit}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "greater than the maximum" in capsys.readouterr().err
+
+
 def _small_run(n=2, N=32, seed=None):
     """A short run's config: a curve from a random seed, or an axisym sphere."""
     initial = {"random": {"seed": seed}} if seed is not None else {"family": {"kind": "sphere"}}

@@ -22,6 +22,19 @@ def test_controls_refuse_nan(field):
         engine.FlowControls(**{field: math.nan})
 
 
+def test_evolve_refuses_nan_t0():
+    # NaN fails every comparison, so a `t0 >= 0` guard lets it through
+    with pytest.raises(ValueError, match="t0 must be negative"):
+        engine.evolve(bodies.random_convex_curve(32, 1), math.nan,
+                      engine.FlowControls(stop_rho_plus=0.5))
+
+
+def test_evolve_cap_refuses_nan_t0():
+    # refused by the time guard, not by a later check that NaN happens to fail
+    with pytest.raises(ValueError, match="t0 must be negative"):
+        engine.evolve_cap(3.0, 1.0, math.nan, engine.FlowControls())
+
+
 def test_step_curve_circle_shrinks_uniformly():
     body = bodies.SupportProfile("curve", 1, np.full(64, 1.0))
     dt = 1e-4

@@ -40,12 +40,13 @@ class InfeasibleError(ValueError):
 # vertex that violates no row is optimal.  No basis is singular for distinct
 # sample angles: three distinct unit normals are never collinear, and two
 # distinct angles in [0, pi] have distinct cosines.  Ties go to the lowest
-# row index.  A NaN slack, as a non-finite normal makes, is skipped by the
-# optimality test but chosen first by the entering-row argmin, so such a row
-# is reported rather than pivoted on.  If a basis repeats, the entering row
-# becomes the lowest violated one (Bland's rule), which cannot cycle in exact
-# arithmetic; a repeat under it is reported rather than looped on.  When the
-# optimum is a segment, the vertex the pivots reach is returned.
+# row index.  A non-finite support value or normal is refused up front, the
+# normal by its row.  A NaN slack is skipped by the optimality test but
+# chosen first by the entering-row argmin, so such a row is reported rather
+# than pivoted on.  If a basis repeats, the entering row becomes the lowest
+# violated one (Bland's rule), which cannot cycle in exact arithmetic; a
+# repeat under it is reported rather than looped on.  When the optimum is a
+# segment, the vertex the pivots reach is returned.
 # ---------------------------------------------------------------------------
 
 def _max_inscribed(G, h, basis):
@@ -54,6 +55,9 @@ def _max_inscribed(G, h, basis):
     if not np.isfinite(h).all():
         raise InfeasibleError("non-finite support value")
     A = np.column_stack([G, np.ones(len(h))])
+    if not np.isfinite(A).all():
+        row = int(np.isfinite(A).all(axis=1).argmin())
+        raise InfeasibleError(f"non-finite normal in row {row}")
     tol = 1e-9 * max(1.0, 2.0 * float(np.max(np.abs(h))) + 1.0)
     basis = np.array(basis)
     seen, bland = set(), False

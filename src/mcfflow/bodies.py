@@ -223,6 +223,14 @@ def recentre(mode, h):
 # trigonometric interpolation of support samples
 # ---------------------------------------------------------------------------
 
+def _as_key(x):
+    """x as a dict key: a list or an array as the tuple of its items."""
+    if isinstance(x, (list, np.ndarray)):
+        x = np.asarray(x).tolist()
+        return tuple(x) if isinstance(x, list) else x
+    return x
+
+
 class _TrigInterp:
     """Band-limited interpolant of periodic samples; exact on trig polynomials.
 
@@ -230,7 +238,12 @@ class _TrigInterp:
     its samples need; the spectral derivative drops it (standard convention).
     ``derivative`` sums the series at arbitrary angles, in O(points * modes);
     ``grid_derivative`` evaluates it on the equispaced angles 2*pi*j/M by one
-    zero-padded inverse FFT per order, in O(M log M).
+    zero-padded inverse FFT per order, in O(M log M).  The coefficient columns
+    that ``derivative`` gathers for a set of orders and Nyquist flags are
+    cached on the interpolant, keyed by their values, so a refinement that
+    asks for the same rows every iteration gathers them once; the cached
+    columns are the very arrays a fresh gather makes, so every value stays
+    the same.
     """
 
     def __init__(self, values):
@@ -252,14 +265,19 @@ class _TrigInterp:
             self._tab[0, :, -1] = 0.0
         self._re = w * self._tab.real / self.N
         self._im = w * self._tab.imag / self.N
+        self._columns = {}
 
     def _series(self, theta, order, nyquist):
         # a float for a scalar theta and order, an array for an array theta of
         # any size, one row per order for a sequence of orders
         theta = np.asarray(theta, dtype=float)
-        ny = np.asarray(nyquist, dtype=int)
+        key = (_as_key(order), _as_key(nyquist))
+        columns = self._columns.get(key)
+        if columns is None:
+            ny = np.asarray(nyquist, dtype=int)
+            columns = self._columns[key] = (self._re[ny, order].T, self._im[ny, order].T)
         ang = np.outer(theta, self.k)
-        out = np.cos(ang) @ self._re[ny, order].T - np.sin(ang) @ self._im[ny, order].T
+        out = np.cos(ang) @ columns[0] - np.sin(ang) @ columns[1]
         if np.ndim(order):
             return out.T
         return out if theta.ndim else float(out[0])

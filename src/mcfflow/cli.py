@@ -24,6 +24,11 @@ from .engine import (ConvexityLostError, FlowControls, PoleSingularityError, Ste
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+# `geom --directions` at most.  A body's width is a trigonometric polynomial
+# of degree at most N in the angle, which 2N + 1 directions determine: 32,769
+# at the largest grid a run config allows (N = 16,384).  The cap is the next
+# power of two, and bounds the work at one interpolant call per direction.
+MAX_DIRECTIONS = 65536
 
 
 def build_parser():
@@ -149,6 +154,9 @@ def _cmd_run(args):
 
 
 def _cmd_geom(args):
+    if not 0 <= args.directions <= MAX_DIRECTIONS:
+        raise ValueError(f"--directions must lie in [0, {MAX_DIRECTIONS}], "
+                         f"got {args.directions}")
     sl = trajio.read_slice(args.body)
     if isinstance(sl.body, CapState):
         raise ValueError("geom measures Euclidean bodies, not a geodesic cap")

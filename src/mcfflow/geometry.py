@@ -17,7 +17,11 @@ extrema of the width and the antipodal chord over the normal angle, found on
 an equispaced direction grid, where the interpolant is evaluated by
 zero-padded inverse FFT in O(N log N), and refined together by one batched,
 safeguarded Newton iteration on the interpolant's exact derivatives, summed
-directly at the off-grid iterates (see _extrema).
+directly at the off-grid iterates (see _extrema).  The iteration keeps each
+start's bookkeeping on Python floats and leaves numpy one interpolant call
+and one `hypot` per iteration, over the same batch of starts as an array
+form would use: a matrix product rounds by the set of angles it is given,
+so the batches are what keeps the results the same bit for bit.
 """
 
 from __future__ import annotations
@@ -51,8 +55,13 @@ class BodyMeasurements:
 def _direction_angle(body, direction):
     """Reduce a direction to its normal angle; accepts angles or unit vectors."""
     if np.isscalar(direction):
-        return float(direction)
+        angle = float(direction)
+        if not math.isfinite(angle):
+            raise ValueError("direction angle must be finite")
+        return angle
     v = np.asarray(direction, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("direction vector must be finite")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     if body.mode == MODE_CURVE:
@@ -79,6 +88,11 @@ def _antipodal_angle(body, t):
     return t + math.pi if body.mode == MODE_CURVE else math.pi - t
 
 
+# a'^m for the orders m = 0..3 of the antipodal angle a(t) = t + pi (curve)
+# or pi - t (axisym)
+_ANTIPODE_POWERS = {MODE_CURVE: np.ones(4), MODE_AXISYM: np.array([1.0, -1.0, 1.0, -1.0])}
+
+
 def _width_rows(body, t, orders, nyquist):
     """Derivatives d^m/dt^m of the width W(t) = h(t) + h(a(t)) at every
     normal angle of the array t, a the antipodal angle: one row per order m,
@@ -86,7 +100,7 @@ def _width_rows(body, t, orders, nyquist):
     _TrigInterp.derivative), from one interpolant call."""
     rows = body.interpolator().derivative(
         np.concatenate([t, _antipodal_angle(body, t)]), orders, nyquist)
-    da = (1.0 if body.mode == MODE_CURVE else -1.0) ** np.asarray(orders)  # a'^m
+    da = np.take(_ANTIPODE_POWERS[body.mode], orders)
     return rows[:, :len(t)] + da[:, None] * rows[:, len(t):]
 
 
@@ -128,20 +142,39 @@ _MAX_ITER = 100      # a bound only: bisection alone converges in under 45
 
 
 def _starts(body, v):
-    """Grid indices refined when minimizing over the grid values v (see
-    _extrema); a grid step's variation is its larger neighbour difference."""
-    best = float(np.min(v))
-    ties = np.flatnonzero(v <= best + _ROUND_RTOL * abs(best))
-    starts = [int(np.argmin(v))]
-    if len(ties) <= _MAX_TIES:  # more: the body is round, any tie will do
-        # neighbours: the curve grid is periodic; on [0, pi/2] widths and
-        # chords are even about both ends, as axisym samples are at the poles
-        e = _pad(body.mode, v, 1)
-        lo, hi = np.minimum(e[:-2], e[2:]), np.maximum(e[:-2], e[2:])
-        humps = (v <= lo) & (v - (hi - v) <= best)
-        humps[ties] = False
-        starts += np.flatnonzero(humps).tolist()
-    return starts
+    """(minimizing, maximizing): the grid indices refined when minimizing and
+    when maximizing over the grid values v (see _extrema), from one pass over
+    each point's two grid neighbours; a grid step's variation is its larger
+    neighbour difference.  Maximizing v is minimizing -v, and rounding is
+    odd-symmetric, so each maximizing test is the minimizing test of -v
+    negated, exactly."""
+    # neighbours: the curve grid is periodic; on [0, pi/2] widths and
+    # chords are even about both ends, as axisym samples are at the poles
+    e = _pad(body.mode, v, 1)
+    lo, hi = np.minimum(e[:-2], e[2:]), np.maximum(e[:-2], e[2:])
+    bottom, top = float(v.min()), float(v.max())
+    return (_humps(v <= bottom + _ROUND_RTOL * abs(bottom), int(v.argmin()),
+                   (v <= lo) & (v - (hi - v) <= bottom)),
+            _humps(v >= top - _ROUND_RTOL * abs(top), int(v.argmax()),
+                   (v >= hi) & (v - (lo - v) >= top)))
+
+
+def _humps(tied, first, humps):
+    """The first best grid index, then every grid local extremum within its
+    grid step's variation of the best that is not tied with the best; only
+    the first when more than _MAX_TIES points tie (the body is round to
+    rounding, and any tie will do)."""
+    ties = tied.nonzero()[0]
+    if len(ties) > _MAX_TIES:
+        return [first]
+    humps[ties] = False
+    return [first] + humps.nonzero()[0].tolist()
+
+
+# the rows of one refinement call: W, W', W'' keep the Nyquist mode, as W
+# does; D = W', D', D'' drop it, as the spectral derivative does
+_REFINE_ORDERS = (0, 1, 2, 1, 2, 3)
+_REFINE_NYQUIST = (True, True, True, False, False, False)
 
 
 def _extrema(body):
@@ -165,43 +198,59 @@ def _extrema(body):
     evaluated: W' and W'' keep the Nyquist mode, as W does; D' and D'' drop
     it, as D does.  Each quantity is the best of its refined and grid
     candidates; the diameter stays a search independent of the widths.
+
+    Each start's state (angle, bracket, value) is a Python float, and the
+    rtsafe update runs on floats start by start, with the operations of the
+    elementwise array form in the same order, so it rounds identically.
+    numpy keeps the array work: each iteration makes one `_width_rows` call
+    over the unfinished starts, in start order, and one `np.hypot` over that
+    batch (`math.hypot` differs from it by an ulp on some pairs).  The
+    batches are fixed: a matrix product over a different set of angles
+    rounds differently in the last bit, so evaluating the starts one at a
+    time, or merging iterations, would move the results.
     """
     grid = _search_grid(body)
-    step = grid[1] - grid[0]
+    step = float(grid[1] - grid[0])
     w, c = _grid_width_and_chord(body)
+    starts = (*_starts(body, w), _starts(body, c)[1])
     signs = (1.0, -1.0, -1.0)  # w_minus, w_plus, diam: minimize sign * value
-    q, i = np.array([(k, j) for k, v in enumerate((w, w, c))
-                     for j in _starts(body, signs[k] * v)]).T
-    sign, chord, x = np.take(signs, q), q == 2, grid[i]
-    found = list(zip(q, sign * np.where(chord, c[i], w[i]), x))
-    lo, hi = x - step, x + step
-    value = np.empty(len(x))
-    todo = np.arange(len(x))
+    q = [k for k, s in enumerate(starts) for _ in s]
+    i = [j for s in starts for j in s]
+    sign, x = [signs[k] for k in q], grid[i].tolist()
+    found = [(k, signs[k] * (c if k == 2 else w)[j], a) for k, j, a in zip(q, i, x)]
+    lo, hi = [a - step for a in x], [a + step for a in x]
+    value = [0.0] * len(x)
+    todo = list(range(len(x)))
     for _ in range(_MAX_ITER):
-        if not len(todo):
+        if not todo:
             break
-        t = x[todo]
-        W, W1, W2, D, D1, D2 = _width_rows(body, t, (0, 1, 2, 1, 2, 3),
-                                           (True, True, True, False, False, False))
-        C = np.hypot(W, D)
-        C1 = (W * W1 + D * D1) / C
-        C2 = (W1 * W1 + W * W2 + D1 * D1 + D * D2 - C1 * C1) / C
-        ch, sg = chord[todo], sign[todo]
-        value[todo] = np.where(ch, C, W)
-        d1 = sg * np.where(ch, C1, W1)
-        d2 = sg * np.where(ch, C2, W2)
-        # the minimum of sign * f lies left of t where its slope is positive
-        hi[todo] = np.where(d1 > 0.0, t, hi[todo])
-        lo[todo] = np.where(d1 > 0.0, lo[todo], t)
-        newton = d2 > 0.0
-        dx = -d1 / np.where(newton, d2, 1.0)
-        done = np.abs(d1) <= _XATOL * d2  # |dx| <= _XATOL, or flat: d1 = d2 = 0
-        inside = newton & (lo[todo] < t + dx) & (t + dx < hi[todo])
-        dx = np.where(inside | done, dx, 0.5 * (lo[todo] + hi[todo]) - t)
-        done |= np.abs(dx) <= _XATOL
-        x[todo] = t + dx
-        todo = todo[~done]
-    found += zip(q, sign * value, x)
+        rows = _width_rows(body, np.array([x[j] for j in todo]), _REFINE_ORDERS,
+                           _REFINE_NYQUIST)
+        chords = np.hypot(rows[0], rows[3]).tolist()
+        unfinished = []
+        for j, (W, W1, W2, D, D1, D2), C in zip(todo, rows.T.tolist(), chords):
+            t, sg = x[j], sign[j]
+            if q[j] == 2:  # the chord
+                C1 = (W * W1 + D * D1) / C
+                C2 = (W1 * W1 + W * W2 + D1 * D1 + D * D2 - C1 * C1) / C
+                value[j], d1, d2 = C, sg * C1, sg * C2
+            else:
+                value[j], d1, d2 = W, sg * W1, sg * W2
+            # the minimum of sign * f lies left of t where its slope is positive
+            if d1 > 0.0:
+                hi[j] = t
+            else:
+                lo[j] = t
+            newton = d2 > 0.0
+            dx = -d1 / (d2 if newton else 1.0)
+            done = abs(d1) <= _XATOL * d2  # |dx| <= _XATOL, or flat: d1 = d2 = 0
+            if not (done or newton and lo[j] < t + dx < hi[j]):
+                dx = 0.5 * (lo[j] + hi[j]) - t
+            x[j] = t + dx
+            if not (done or abs(dx) <= _XATOL):
+                unfinished.append(j)
+        todo = unfinished
+    found += zip(q, [s * v for s, v in zip(sign, value)], x)
     best = [min((v, a) for k, v, a in found if k == j) for j in range(3)]
     return tuple((s * float(v), float(a)) for s, (v, a) in zip(signs, best))
 

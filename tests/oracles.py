@@ -8,7 +8,9 @@ import itertools
 
 import numpy as np
 
+from mcfflow import geometry
 from mcfflow._solvers import InfeasibleError
+from mcfflow.bodies import MODE_CURVE, _pad
 
 
 def cubic_excess_pairform(lambdas):
@@ -131,3 +133,76 @@ def max_inscribed(G, h, basis):
     if x[-1] < -tol:
         raise InfeasibleError("empty body: the support planes leave no room for a ball")
     return x[:-1], float(x[-1])
+
+
+# ---------------------------------------------------------------------------
+# The width and diameter search of `mcfflow.geometry` as it was written when
+# its refinement ran as array operations: every start's state in arrays,
+# updated by elementwise `np.where`, and one minimizing pass per search.
+# Frozen here so `geometry._extrema` can be checked against it bit for bit.
+# ---------------------------------------------------------------------------
+
+_ROUND_RTOL = 1e-12
+_MAX_TIES = 8
+_XATOL = 1e-13
+_MAX_ITER = 100
+
+
+def width_rows(body, t, orders, nyquist):
+    rows = body.interpolator().derivative(
+        np.concatenate([t, geometry._antipodal_angle(body, t)]), orders, nyquist)
+    da = (1.0 if body.mode == MODE_CURVE else -1.0) ** np.asarray(orders)  # a'^m
+    return rows[:, :len(t)] + da[:, None] * rows[:, len(t):]
+
+
+def starts(body, v):
+    best = float(np.min(v))
+    ties = np.flatnonzero(v <= best + _ROUND_RTOL * abs(best))
+    out = [int(np.argmin(v))]
+    if len(ties) <= _MAX_TIES:
+        e = _pad(body.mode, v, 1)
+        lo, hi = np.minimum(e[:-2], e[2:]), np.maximum(e[:-2], e[2:])
+        humps = (v <= lo) & (v - (hi - v) <= best)
+        humps[ties] = False
+        out += np.flatnonzero(humps).tolist()
+    return out
+
+
+def extrema(body):
+    grid = geometry._search_grid(body)
+    step = grid[1] - grid[0]
+    w, c = geometry._grid_width_and_chord(body)
+    signs = (1.0, -1.0, -1.0)
+    q, i = np.array([(k, j) for k, v in enumerate((w, w, c))
+                     for j in starts(body, signs[k] * v)]).T
+    sign, chord, x = np.take(signs, q), q == 2, grid[i]
+    found = list(zip(q, sign * np.where(chord, c[i], w[i]), x))
+    lo, hi = x - step, x + step
+    value = np.empty(len(x))
+    todo = np.arange(len(x))
+    for _ in range(_MAX_ITER):
+        if not len(todo):
+            break
+        t = x[todo]
+        W, W1, W2, D, D1, D2 = width_rows(body, t, (0, 1, 2, 1, 2, 3),
+                                          (True, True, True, False, False, False))
+        C = np.hypot(W, D)
+        C1 = (W * W1 + D * D1) / C
+        C2 = (W1 * W1 + W * W2 + D1 * D1 + D * D2 - C1 * C1) / C
+        ch, sg = chord[todo], sign[todo]
+        value[todo] = np.where(ch, C, W)
+        d1 = sg * np.where(ch, C1, W1)
+        d2 = sg * np.where(ch, C2, W2)
+        hi[todo] = np.where(d1 > 0.0, t, hi[todo])
+        lo[todo] = np.where(d1 > 0.0, lo[todo], t)
+        newton = d2 > 0.0
+        dx = -d1 / np.where(newton, d2, 1.0)
+        done = np.abs(d1) <= _XATOL * d2
+        inside = newton & (lo[todo] < t + dx) & (t + dx < hi[todo])
+        dx = np.where(inside | done, dx, 0.5 * (lo[todo] + hi[todo]) - t)
+        done |= np.abs(dx) <= _XATOL
+        x[todo] = t + dx
+        todo = todo[~done]
+    found += zip(q, sign * value, x)
+    best = [min((v, a) for k, v, a in found if k == j) for j in range(3)]
+    return tuple((s * float(v), float(a)) for s, (v, a) in zip(signs, best))

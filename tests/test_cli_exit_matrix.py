@@ -235,6 +235,26 @@ def test_input_body_errors_map_to_bad_input(monkeypatch, inputs, error):
     assert cli.main(["geom", "--body", paths["curve"]]) == 2
 
 
+@pytest.mark.parametrize("count", [-1, cli.MAX_DIRECTIONS + 1, 10 ** 12],
+                         ids=["negative", "over-cap", "huge"])
+def test_geom_directions_out_of_range_are_bad_input(inputs, count, capsys):
+    # a negative count read as 0 and exited 0; a huge one raised numpy's
+    # MemoryError in linspace, which escaped as a traceback
+    _, paths = inputs
+    assert cli.main(["geom", "--body", paths["curve"], "--directions", str(count)]) == 2
+    assert "--directions must lie in [0, 65536]" in capsys.readouterr().err
+
+
+def test_geom_directions_sample_one_width_each(inputs, capsys):
+    _, paths = inputs
+    assert cli.main(["geom", "--body", paths["curve"], "--directions", "16"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    body = trajio.read_slice(paths["curve"]).body
+    assert record["width_samples"] == [
+        cli.geometry.width(body, float(a))
+        for a in np.linspace(0.0, math.pi, 16, endpoint=False)]
+
+
 @pytest.fixture(scope="module")
 def oval_windows(tmp_path_factory):
     """The exact oval at 5 times in [-3, -1], and at t = -3 and -0.5 only."""

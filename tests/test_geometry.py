@@ -160,6 +160,18 @@ def test_width_rejects_non_unit_direction():
         geometry.width(unit_disk(), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("body", [unit_disk(), round_sphere()], ids=["curve", "axisym"])
+@pytest.mark.parametrize("direction", [math.nan, math.inf, -math.inf, (math.nan, 0.0),
+                                       (math.inf, 0.0), (0.0, -math.inf)],
+                         ids=["nan", "inf", "-inf", "nan-vector", "inf-vector",
+                              "-inf-vector"])
+def test_width_rejects_non_finite_direction(body, direction):
+    # an angle returned nan with numpy warnings; a NaN vector passed the unit
+    # test, since every comparison with NaN is false
+    with pytest.raises(ValueError, match="must be finite"):
+        geometry.width(body, direction)
+
+
 def test_width_oval_x_axis():
     sl = exact.angenent_oval_slice(-1.0, 256)
     expected = 2.0 * math.acos(math.exp(-1.0))

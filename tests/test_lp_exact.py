@@ -142,3 +142,24 @@ def test_chebyshev_centres_match_scalar_lp():
 def test_infeasible_bodies_raise(mode, h, message):
     with pytest.raises(InfeasibleError, match=message):
         _chebyshev(mode, h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("component", [0, 1])
+def test_chebyshev_center_curve_refuses_non_finite_normals(bad, component):
+    # one bad entry of one normal: the simplex returned a NaN centre with a
+    # finite radius, or raised an error that named neither the normal nor its row
+    body = bodies.random_convex_curve(32, 1)
+    nu = body.normals().copy()
+    nu[5, component] = bad
+    with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 5$"):
+        _solvers.chebyshev_center_curve(nu, body.h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_chebyshev_center_axis_refuses_non_finite_normals(bad):
+    body = bodies.random_convex_profile(2, 32, 1)
+    cosphi = np.cos(body.angles())
+    cosphi[7] = bad
+    with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 7$"):
+        _solvers.chebyshev_center_axis(cosphi, body.h)

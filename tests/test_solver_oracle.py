@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mcfflow import _solvers, bodies
+from mcfflow._solvers import InfeasibleError
 from mcfflow.bodies import MODE_AXISYM, MODE_CURVE
 
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -180,17 +181,20 @@ def test_chebyshev_centre_equals_the_oracle(case):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(supports(), st.data())
 def test_chebyshev_centre_on_non_finite_input_matches_the_oracle(case, data):
-    # a non-finite support value, or a non-finite normal, at any sample
+    # a non-finite support value, or a non-finite normal entry, at any sample
     mode, nu, h = case
     bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     at = data.draw(st.integers(0, len(h) - 1))
     if data.draw(st.booleans()):
         h = h.copy()
         h[at] = bad
+        assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
     else:
+        # refused by its row before any pivot, where the oracle pivoted on it
         nu = nu.copy()
-        nu[at] = bad
-    assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
+        nu[(at, data.draw(st.integers(0, 1))) if mode == MODE_CURVE else at] = bad
+        assert _outcome(_centre, mode, nu, h) == (InfeasibleError,
+                                                  f"non-finite normal in row {at}")
 
 
 # quadrilaterals whose pivots meet equal ratios lam_i / mu_i on N = 16 rows

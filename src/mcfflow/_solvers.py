@@ -224,14 +224,3 @@ def axis_enclosing_ball(x, rsq):
                                            np.concatenate([r, -r])]))
     return float(c[0]), float(c[2])
 
-
-def bisect_increasing(fn, lo, hi, iters=90):
-    """Vectorized bisection for an elementwise increasing fn; returns midpoints."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)

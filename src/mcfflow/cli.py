@@ -111,6 +111,9 @@ def _initial_from_config(cfg, seed):
     n = cfg["n"]
     N = cfg.get("N", 256)
     init = cfg.get("initial", {})
+    named = [key for key in ("file", "family", "random") if key in init]
+    if len(named) > 1:
+        raise ValueError(f"initial names {' and '.join(named)}; it may name only one body")
     if "file" in init:
         body = trajio.read_slice(init["file"]).body
         if isinstance(body, CapState):
@@ -195,10 +198,9 @@ def _cmd_diagnose(args):
     summary = {"slices": len(rows), "window": [float(ts[0]), float(ts[-1])],
                "sigma": args.sigma, "p": args.p}
     if args.k:
+        margin = diagnostics._kconvex_margin(s, args.k)
         summary["k"] = args.k
-        margins = [diagnostics.curvature_field(s).kconvex_margin(args.k)
-                   for s in traj.slices]
-        summary["kconvex_margin"] = min(margins)
+        summary["kconvex_margin"] = margin if margin < math.inf else None
     sys.stdout.write(trajio._dumps(summary) + "\n")
     return EXIT_OK
 

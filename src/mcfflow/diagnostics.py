@@ -589,28 +589,32 @@ class PinchingReport:
     grad_ratio_max: float
 
 
+def _kconvex_margin(s, k):
+    """min of the k-convexity margin over the slices of the _Series s with
+    min H > H_FLOOR (inf if there is none), as for the eps_min column."""
+    return min((f.kconvex_margin(k) for f, h in zip(s.fields, s["minH"]) if h > H_FLOOR),
+               default=math.inf)
+
+
 def pinching_report(traj, sigma=0.05, p_values=(2.0,), k_values=()):
     """Trajectory-level pinching summary (the diagnose CLI's record)."""
     s = _Series(traj)
     positive = s["minH"] > H_FLOOR
     fmax = 0.0
     lp = {p: 0.0 for p in p_values}
-    kmargins = {k: math.inf for k in k_values}
     for sl, pos in zip(traj.slices, positive):
         if pos:
             def_ = umbilic_deficit(sl, sigma)
             fmax = max(fmax, def_.max())
             for p in p_values:
                 lp[p] = max(lp[p], def_.lp_integral(p) ** (1.0 / p))
-        for k in k_values:
-            kmargins[k] = min(kmargins[k], curvature_field(sl).kconvex_margin(k))
     try:
         typeI_sup = _type_quantities(traj, s).typeI_sup
     except ValueError:
         typeI_sup = math.nan
     return PinchingReport(eps_min=float(np.min(s["eps_min"][positive], initial=math.inf)),
                           f_sigma_max=fmax, f_sigma_lp=lp,
-                          kconvex_margin=kmargins,
+                          kconvex_margin={k: _kconvex_margin(s, k) for k in k_values},
                           ahh=float(np.fmax.reduce(s["ahh"], initial=0.0)),  # skips 0/0
                           harnack_min=float(np.min(s["harnack_min"][1:-1], initial=math.inf)),
                           typeI_sup=typeI_sup,

@@ -295,12 +295,15 @@ class _Kernel:
         self._commit()
 
 
-def _public_step(profile, dt, cfl_for_check=0.5):
+_PUBLIC_STEP_CFL = 0.5  # the largest cfl FlowControls admits
+
+
+def _public_step(profile, dt):
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be a positive finite number, not {dt!r}")
     kernel = _Kernel(profile)
     kernel.reset(profile.h)
-    bound = kernel.dt_bound(cfl_for_check)
+    bound = kernel.dt_bound(_PUBLIC_STEP_CFL)
     if dt > bound:
         raise StabilityViolationError(
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")

@@ -11,10 +11,13 @@ Families:
   cap           geodesic sphere in S^(n+1)_R with rho(t) = R arccos(e^(n t/R^2))
   equator       the stationary totally geodesic S^n_R (H = 0)
 
-The oval is sampled per normal angle by solving the tangency condition
-(outer normal parallel to the requested direction) with a bisection on the
-monotone Gauss map.  The support VALUE is insensitive to sliding along the
-nearly flat sides (stationarity), so the root tolerance there is harmless.
+The oval's Gauss map has a closed-form inverse.  With a = sqrt(1 - e^(2t))
+and psi in [0, pi/2] the normal angle reduced by the two symmetries, the
+contact point in the quarter x, y >= 0 has cos x = u = hypot(e^t cos psi,
+sin psi), sin x = a cos psi and e^t sinh y = a sin psi, and the curvature
+there is u / a.  The angles are taken by atan2 and asinh, which keep full
+relative accuracy near extinction, where arccos and arcsin of values near 1
+would not.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 
 import numpy as np
 
-from ._solvers import bisect_increasing
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, _cap_geodesic_radius,
                      shift_support)
 from .engine import TimeSlice, Trajectory
@@ -146,54 +148,37 @@ def _require_oval_time(t):
 
 
 def oval_extent(t):
-    """(x_half_extent, y_half_extent) of the oval at time t < 0."""
-    _require_oval_time(t)
-    return math.acos(math.exp(t)), math.acosh(math.exp(-t))
-
-
-def _oval_gauss_angle(y, t):
-    """Normal angle psi in [0, pi/2] at the boundary point of height y >= 0
-    in the quarter x >= 0 (monotone increasing in y)."""
-    u = np.minimum(0.5 * (np.exp(y + t) + np.exp(t - y)), 1.0)   # e^t cosh y
-    gy = 0.5 * (np.exp(y + t) - np.exp(t - y))                   # e^t sinh y
-    sinx = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-    return np.arctan2(gy, sinx)
+    """(x_half_extent, y_half_extent) of the oval at time t < 0: its support
+    values at the normal angles 0 and pi/2."""
+    h = _oval_contact(t, (0.0, math.pi / 2.0))[0]
+    return float(h[0]), float(h[1])
 
 
 def _oval_contact(t, theta):
-    """Inverts the Gauss map: for each normal angle, (psi, y, u) with psi
-    the angle reduced to [0, pi/2], y >= 0 the height of the contact point
-    in the quarter x >= 0, and u = e^t cosh y = cos x there."""
+    """(support values, curvatures) at the normal angles theta, from the
+    contact points of the inverse Gauss map (see the module docstring)."""
     _require_oval_time(t)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    y_max = math.acosh(math.exp(-t))
     # reduce by the x and y symmetries to psi in [0, pi/2]
     psi = np.abs(np.remainder(theta + math.pi, 2.0 * math.pi) - math.pi)
     psi = np.where(psi > math.pi / 2.0, math.pi - psi, psi)
-    roots = bisect_increasing(lambda y: _oval_gauss_angle(y, t) - psi,
-                              np.zeros_like(psi), np.full_like(psi, y_max))
-    u = np.minimum(0.5 * (np.exp(roots + t) + np.exp(t - roots)), 1.0)
-    return psi, roots, u
+    c, s = np.cos(psi), np.sin(psi)
+    a = math.sqrt(-math.expm1(2.0 * t))
+    u = np.hypot(math.exp(t) * c, s)                     # cos x
+    x = np.arctan2(a * c, u)
+    y = np.arcsinh(a * math.exp(-t) * s)
+    return x * c + y * s, u / a
 
 
 def oval_support_values(t, theta):
     """Exact support values of the oval at arbitrary normal angles."""
-    psi, roots, u = _oval_contact(t, theta)
-    x = np.arccos(u)
-    vals = x * np.cos(psi) + roots * np.sin(psi)
+    vals = _oval_contact(t, theta)[0]
     return vals if vals.size > 1 else float(vals[0])
 
 
 def oval_curvature_values(t, theta):
-    """Exact curvature at the contact point of each normal angle.
-
-    From the implicit form, kappa = cos x / |grad F| with
-    |grad F| = sqrt(sin^2 x + (e^t sinh y)^2).
-    """
-    _, roots, u = _oval_contact(t, theta)
-    gy = 0.5 * (np.exp(roots + t) - np.exp(t - roots))
-    grad = np.hypot(np.sqrt(np.maximum(1.0 - u * u, 0.0)), gy)
-    vals = u / grad
+    """Exact curvature at the contact point of each normal angle."""
+    vals = _oval_contact(t, theta)[1]
     return vals if vals.size > 1 else float(vals[0])
 
 

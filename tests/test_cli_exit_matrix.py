@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mcfflow import bodies, cli, engine, exact, trajio
+from mcfflow import bodies, cli, diagnostics, engine, exact, trajio
 from mcfflow._solvers import InfeasibleError
 from mcfflow.diagnostics import NonPositiveCurvatureError
 from mcfflow.engine import TimeSlice
@@ -327,6 +327,39 @@ def test_diagnose_reads_equator_and_n13_runs(inputs, name, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_diagnose_k_skips_slices_without_positive_curvature(inputs, tmp_path, capsys):
+    # an equator has H = 0, so its k-convexity margin is 0/0; the margin is
+    # taken over the slices with min H > H_FLOOR, as for eps_min, and is
+    # null when there is none
+    d, paths = inputs
+    argv = ["diagnose", "--k", "1", "--out", str(tmp_path / "o.csv"), "--traj"]
+    assert cli.main(argv + [paths["equator_traj"]]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["kconvex_margin"] is None
+    equator, cap = exact.equator_slice(1.0, 2), exact.cap_slice(1.0, 2, -1.0)
+    margins = []
+    for first, second in ((equator, cap), (cap, equator)):
+        traj = engine.Trajectory([TimeSlice(-2.0, first), TimeSlice(-1.0, second)], {})
+        path = str(tmp_path / "mixed.jsonl")
+        trajio.write_trajectory(traj, path)
+        assert cli.main(argv + [path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        margins.append(json.loads(out)["kconvex_margin"])
+        report = diagnostics.pinching_report(traj, k_values=(1,))
+        assert report.kconvex_margin[1] == margins[-1]
+    assert margins == [0.5, 0.5]
+
+
+def test_oval_near_extinction_is_the_round_body(tmp_path):
+    # acosh(exp(1e-20)) rounds to 0, which made every support value 0
+    out = str(tmp_path / "x.jsonl")
+    assert cli.main(["exact", "--family", "oval", "--n", "1", "--t", "-1e-20",
+                     "--resolution", "32", "--out", out]) == 0
+    h = trajio.read_slice(out).body.h
+    np.testing.assert_allclose(h, math.sqrt(2e-20), rtol=1e-15)
+
+
 def test_oval_times_below_the_range_of_exp_are_bad_input(tmp_path, capsys):
     # the oval's closed form takes e^(-t), which overflows below t ~ -709.78
     out = str(tmp_path / "x.jsonl")
@@ -370,6 +403,24 @@ def test_oversized_grids_are_bad_input(tmp_path, edit, capsys):
     cfg.write_text(json.dumps({"engine": "curve", "n": 1, "t0": -1.0, **edit}))
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "greater than the maximum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [("family", "random"), ("file", "family"),
+                                   ("file", "random"), ("file", "family", "random")],
+                         ids="+".join)
+def test_initial_naming_more_than_one_body_is_bad_input(inputs, tmp_path, names, capsys):
+    # the first of file, family and random silently won, and the header
+    # recorded the seed of an ignored random block
+    _, paths = inputs
+    blocks = {"file": paths["curve"], "family": {"kind": "sphere"}, "random": {"seed": 3}}
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps({"engine": "curve", "n": 1, "N": 32, "t0": -1.0,
+                               "controls": {"max_dt": 1e-2, "stop_rho_plus": 0.3},
+                               "initial": {name: blocks[name] for name in names}}))
+    out = tmp_path / "o.jsonl"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"initial names {' and '.join(names)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _small_run(n=2, N=32, seed=None):

@@ -117,6 +117,28 @@ def test_oval_slice_is_convex_and_symmetric():
     assert np.allclose(h[:64], h[64:], atol=1e-13)               # antipodal symmetry
 
 
+@pytest.mark.parametrize("t", [-1e-12, -1e-9, -1e-6])
+def test_oval_is_round_to_first_order_near_extinction(t):
+    # h = sqrt(-2t) (1 + O(t)) and kappa = (1 + O(t)) / sqrt(-2t) as t -> 0-
+    theta = np.linspace(0.0, 2.0 * math.pi, 97)
+    r = math.sqrt(-2.0 * t)
+    h = exact.oval_support_values(t, theta)
+    kappa = exact.oval_curvature_values(t, theta)
+    assert np.max(np.abs(h / r - 1.0)) <= abs(t)
+    assert np.max(np.abs(kappa * r - 1.0)) <= abs(t)
+
+
+def test_oval_extent_is_the_support_at_the_axes():
+    # bit for bit, from t = -700 to extinction
+    for t in -np.logspace(math.log10(700.0), -20.0, 181):
+        t = float(t)
+        extent = exact.oval_extent(t)
+        assert (exact.oval_support_values(t, 0.0),
+                exact.oval_support_values(t, math.pi / 2.0)) == extent, t
+        h = exact.angenent_oval_slice(t, 64).h
+        assert (h[0], h[16]) == extent, t
+
+
 def test_cap_radius_against_ode_oracle():
     # independent oracle: integrate d rho/dt = -(n/R) cot(rho/R) numerically
     R, n = 1.0, 2

@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .bodies import MODE_CURVE, recentre, shift_support
-from .diagnostics import (H_FLOOR, _Series, _type_quantities, curvature_field,
-                          umbilic_deficit)
+from .diagnostics import (H_FLOOR, _Series, _kconvex_margin, _type_quantities,
+                          curvature_field, umbilic_deficit)
 from .engine import TimeSlice, Trajectory
 
 
@@ -495,16 +495,12 @@ def kconvex_gap_check(traj, k):
     n = traj.n
     if not 2 <= k <= n - 1:
         raise ValueError("k must lie in 2..n-1")
-    alpha = math.inf
-    margins = []
-    for sl in traj.slices:
-        fld = curvature_field(sl)
-        alpha = min(alpha, fld.kconvex_margin(k))
-        margins.append(float(np.min(fld.H ** 2 - (n - k + 1.0) * fld.A2)))
+    s = _Series(traj)
+    alpha = _kconvex_margin(s, k)  # over the slices with min H > H_FLOOR, as diagnose --k
     if alpha <= 0.0:
         raise NotKConvexError(f"k-convexity margin {alpha:.3g} <= 0 on the window")
-    margins = np.array(margins)
+    margins = np.array([float(np.min(f.H ** 2 - (n - k + 1.0) * f.A2)) for f in s.fields])
     return KConvexGapReport(times=traj.times(), margins=margins,
                             alpha_measured=float(alpha),
                             holds=bool(np.all(margins > 0.0)),
-                            sup_ratio=float(np.max(_Series(traj)["ahh"])))
+                            sup_ratio=float(np.fmax.reduce(s["ahh"], initial=0.0)))

@@ -23,10 +23,10 @@ nearly flat side.
 The grid's discretization is defined here only: the boundary extension
 (``_ghosts``, periodic or even about both poles) under the 3-point (``d1``,
 ``d2``, on ``_pad``) and 4th-order stencils (on the workspace ``Pad4``), the
-pole limit ``azimuthal_curvature`` and the trapezoid weights
-``SupportProfile.weights``.  ``engine`` reads the 4th-order stencils and the
-pole limit, ``diagnostics`` ``d1``, the pole limit and the weights, and
-``geometry`` the extension and the weights.
+pole limit ``azimuthal_curvature`` (``pole_limit`` on fixed arrays) and the
+trapezoid weights ``SupportProfile.weights``.  ``engine`` reads the
+4th-order stencils and the pole limit, ``diagnostics`` ``d1``, the pole
+limit and the weights, and ``geometry`` the extension and the weights.
 """
 
 from __future__ import annotations
@@ -170,12 +170,21 @@ def d1_reflect4(pad, out):
     return np.divide(out, pad.d1_scale, out)
 
 
+def pole_limit(kappa1, sin_phi, r, out):
+    """``azimuthal_curvature`` of these arrays as a call, its five views built once."""
+    inner = sin_phi[1:-1], r[1:-1], out[1:-1]
+    out_poles, kappa1_poles = out[::len(out) - 1], kappa1[::len(kappa1) - 1]
+    def limit():
+        np.divide(*inner)
+        out_poles[...] = kappa1_poles
+        return out
+    return limit
+
+
 def azimuthal_curvature(kappa1, sin_phi, r, out):
     """kappa2 = sin(phi)/r on the axisym grid, into out, with its umbilic limit
     kappa2 -> kappa1 = 1/(h''+h) at both poles, where sin(phi) = r = 0."""
-    np.divide(sin_phi[1:-1], r[1:-1], out[1:-1])
-    out[::len(out) - 1] = kappa1[::len(kappa1) - 1]
-    return out
+    return pole_limit(kappa1, sin_phi, r, out)()
 
 
 # ---------------------------------------------------------------------------

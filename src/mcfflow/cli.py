@@ -143,6 +143,8 @@ def _cmd_run(args):
         cap = cfg.get("cap")
         if not cap:
             raise ValueError("cap engine requires the 'cap' config block")
+        if "initial" in cfg:
+            raise ValueError("a cap run starts from its 'cap' block; it takes no 'initial' block")
         traj = evolve_cap(cap["R"], cap["rho0"], cfg["t0"], controls,
                           n=cfg["n"], t_stop=cfg.get("t_stop"))
     else:

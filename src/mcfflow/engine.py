@@ -30,8 +30,9 @@ stage writes h + (dt/2) k straight into the buffer's interior, the stencil
 fills the ghosts by the grid's boundary rule, and every array operation
 after that is a ufunc writing into a buffer, in the order of operations of
 the textbook formulas.  So no stage pads, slices or allocates, and the
-trajectories are bit-identical to the allocating formulas.  ``step_curve``
-and ``step_axisym`` take their one step on the same kernel.
+trajectories are bit-identical to the allocating formulas; the pole limit's
+views are built once, and the checks read extrema by index (``_extremum``).
+``step_curve`` and ``step_axisym`` take their one step on the same kernel.
 
 Time gauge.  The flow runs in an internal clock s >= 0 and cannot know the
 extinction time in advance.  After the run the origin is re-anchored so the
@@ -49,9 +50,9 @@ import math
 import numpy as np
 
 from . import geometry
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, Pad4, SupportProfile, NonConvexBodyError,
-                     _cap_geodesic_radius, _const, azimuthal_curvature, d1_reflect4, d2_periodic4,
-                     d2_reflect4, recentre)
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, Pad4, SupportProfile,
+                     NonConvexBodyError, _cap_geodesic_radius, _const, d1_reflect4, d2_periodic4,
+                     d2_reflect4, pole_limit, recentre)
 
 
 class ConvexityLostError(RuntimeError):
@@ -196,6 +197,13 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 _ONE, _MINUS_ONE, _TWO = _const(1.0), _const(-1.0), _const(2.0)
+_ARGMIN, _ARGMAX = np.ndarray.argmin, np.ndarray.argmax
+
+
+def _extremum(a, arg):
+    """a.min() or a.max() for arg _ARGMIN or _ARGMAX, by index: the same element
+    or a's first NaN, up to the sign of a zero, which no comparison with 0 sees."""
+    return a[arg(a)]
 
 
 class _Kernel:
@@ -204,9 +212,10 @@ class _Kernel:
     The state is ``h``, its right-hand side ``k``, its h'' + h ``rho`` and
     ``kmax``, the largest profile curvature 1/rho.  A stage whose h'' + h
     (or, axisym, r inside the grid) is not positive, NaN included, raises
-    and leaves the state untouched.  The stencils are read from this
-    module's names ``d2_periodic4``, ``d2_reflect4`` and ``d1_reflect4``
-    when the kernel is built, so a wrapper bound there sees every call.
+    and leaves the state untouched; the checks read extrema by index.  The
+    pole limit's views are built with the kernel, and the stencils read from
+    this module's names ``d2_periodic4``, ``d2_reflect4`` and ``d1_reflect4``
+    then, so a wrapper bound there sees every call.
     """
 
     def __init__(self, profile):
@@ -226,6 +235,7 @@ class _Kernel:
         self._hp, self._r = np.empty(m), np.empty(m)
         self._r_inner = self._r[1:-1]
         self._kappa1, self._kappa2 = np.empty(m), np.empty(m)
+        self._kappa2_limit = pole_limit(self._kappa1, self._sin, self._r, self._kappa2)
         self._n1 = None if profile.n == 2 else _const(profile.n - 1)
 
     def curvature_radius(self):
@@ -235,22 +245,22 @@ class _Kernel:
 
     def _curve_rhs(self):
         rho = self.curvature_radius()
-        if not rho.min() > 0.0:
+        if not _extremum(rho, _ARGMIN) > 0.0:
             raise ConvexityLostError("h'' + h <= 0 inside a stage")
         np.divide(_MINUS_ONE, rho, self._k)
 
     def _axisym_rhs(self):
         rho = self.curvature_radius()
-        if not rho.min() > 0.0:
+        if not _extremum(rho, _ARGMIN) > 0.0:
             raise ConvexityLostError("h'' + h <= 0 inside a stage")
         hp, r = self._d1(self.pad, self._hp), self._r
         np.multiply(self.pad.x, self._sin, r)
         np.multiply(hp, self._cos, hp)
         np.add(r, hp, r)
-        if not self._r_inner.min() > 0.0:
+        if not _extremum(self._r_inner, _ARGMIN) > 0.0:
             raise PoleSingularityError("profile touched the axis at an interior node")
         kappa1 = np.divide(_ONE, rho, self._kappa1)
-        kappa2 = azimuthal_curvature(kappa1, self._sin, r, self._kappa2)
+        kappa2 = self._kappa2_limit()
         # -(kappa1 + (n-1) kappa2), bit for bit
         k = np.negative(kappa1, self._k)
         if self._n1 is not None:  # n - 1 = 1 multiplies exactly
@@ -263,9 +273,9 @@ class _Kernel:
         self.k, self._k = self._k, self.k
         self.rho, self._rho = self._rho, self.rho
         if self._curve:
-            self.kmax = -float(self.k.min())  # k = -1/rho
+            self.kmax = -float(_extremum(self.k, _ARGMIN))  # k = -1/rho
         else:
-            self.kmax = float(self._kappa1.max())
+            self.kmax = float(_extremum(self._kappa1, _ARGMAX))
 
     def reset(self, h):
         """Take h as the state and evaluate its right-hand side."""
@@ -390,7 +400,7 @@ def evolve(initial, t0, controls):
         s += attempt
         accepted += 1
         # keep the origin well inside the shrinking body
-        if h.min() < 0.25 * h.max():
+        if _extremum(h, _ARGMIN) < 0.25 * _extremum(h, _ARGMAX):
             hc, extra = recentre(mode, h)
             shift = shift + extra
             kernel.reset(hc)

@@ -1,12 +1,14 @@
 """Trajectory classification, decay checks, rescaling, soliton signature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mcfflow import analysis, diagnostics as dg, engine, exact
 from mcfflow.analysis import BOUNDED, GROWING, NOT_APPLICABLE, VIOLATED
+from mcfflow.engine import TimeSlice
 
 
 def test_sphere_all_bounded(sphere_exact_traj):
@@ -262,6 +264,21 @@ def test_kconvex_gap_perturbed_run(perturbed_3sphere_run):
     assert np.all(rep.margins > 0.0)
     # gap readout: sup |A|^2/H^2 snaps to 1/h with h = n for pinched runs
     assert dg.pinching_gap_level(rep.sup_ratio, tol=0.02) == 3
+
+
+def test_kconvex_gap_skips_slices_without_positive_curvature():
+    # an equator has H = 0, so its k-margin is 0/0: alpha is taken over the
+    # slices with min H > H_FLOOR, as pinching_report takes it, with no warning
+    equator, cap = exact.equator_slice(1.0, 3), exact.cap_slice(1.0, 3, -1.0)
+    for first, second in ((equator, cap), (cap, equator)):
+        traj = engine.Trajectory([TimeSlice(-2.0, first), TimeSlice(-1.0, second)], {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = analysis.kconvex_gap_check(traj, 2)
+            report = dg.pinching_report(traj, k_values=(2,))
+        assert rep.alpha_measured == report.kconvex_margin[2] == pytest.approx(2.0 / 3.0)
+        assert rep.sup_ratio == report.ahh
+        assert not rep.holds  # the equator's H^2 - 2|A|^2 is 0
 
 
 def test_kconvex_gap_requires_kconvexity():

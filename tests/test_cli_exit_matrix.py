@@ -423,6 +423,22 @@ def test_initial_naming_more_than_one_body_is_bad_input(inputs, tmp_path, names,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["random", "family", "file"])
+def test_cap_config_with_an_initial_block_is_bad_input(inputs, tmp_path, name, capsys):
+    # a cap run starts from its cap block; it ignored an initial block, yet
+    # the header recorded the seed of a random one
+    _, paths = inputs
+    initial = {"file": paths["curve"], "family": {"kind": "sphere"}, "random": {"seed": 3}}
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"engine": "cap", "n": 2, "t0": -5.0,
+                               "cap": {"R": 1.0, "rho0": 1.0},
+                               "initial": {name: initial[name]}}))
+    out = tmp_path / "o.jsonl"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "takes no 'initial' block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _small_run(n=2, N=32, seed=None):
     """A short run's config: a curve from a random seed, or an axisym sphere."""
     initial = {"random": {"seed": seed}} if seed is not None else {"family": {"kind": "sphere"}}

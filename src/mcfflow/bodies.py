@@ -107,76 +107,71 @@ _EIGHT, _SIXTEEN, _THIRTY = _const(8.0), _const(16.0), _const(30.0)
 class Pad4:
     """Workspace of the 4th-order stencils on one grid of m samples, built once.
 
-    ``x`` is the interior of a buffer padded by two ghost cells at each end;
-    write samples into it and call a stencil, which fills the ghosts by its
-    grid's rule (``_ghosts``) and writes its result into ``out`` through the
-    buffer's five shifted views and one scratch array, by ufuncs with a
-    positional ``out``.  No call slices or allocates.
+    ``x`` is the interior of a buffer ``e`` padded by two ghost cells at each
+    end; write samples into it and call a stencil.  ``d2_periodic4`` and
+    ``d2_reflect4`` fill the ghosts by their grid's rule (``_ghosts``, bound
+    here as ``periodic`` and ``even``), ``d1_reflect4`` reads the ghosts
+    ``d2_reflect4`` filled.  A stencil writes into ``out`` through the five
+    shifted views of ``e``, one scratch array and one product buffer: c e,
+    made by one multiply and read at offsets 1 and 3 as c e1 and c e3.  Every
+    ufunc has a positional ``out``; no call slices or allocates.
     """
 
     def __init__(self, h, dx):
         m = len(h)
-        self.e = np.empty(m + 4)
+        self.e, self.prod, self.tmp = np.empty(m + 4), np.empty(m + 4), np.empty(m)
         self.x = self.e[2:-2]
         self.x[:] = h
         self.shifts = tuple(self.e[i:i + m] for i in range(5))
-        self.ghosts = {mode: _ghosts(mode, self.e, 2) for mode in (MODE_CURVE, MODE_AXISYM)}
-        self.tmp = np.empty(m)
+        self.prod1, self.prod3 = self.prod[1:m + 1], self.prod[3:m + 3]
+        self.periodic, self.even = _ghosts(MODE_CURVE, self.e, 2), _ghosts(MODE_AXISYM, self.e, 2)
         self.d1_scale, self.d2_scale = _const(12.0 * dx), _const(12.0 * dx * dx)
 
-    def fill(self, mode):
-        for ghost, source in self.ghosts[mode]:
-            ghost[...] = source
 
-
-def _d2_five_point(pad, out):
+def _d2_five_point(pad, ghosts, out):
     # (-e0 + 16 e1 - 30 e2 + 16 e3 - e4) / (12 dx^2) in that order of
     # operations; 16 e1 - e0 is bit for bit -e0 + 16 e1
-    e0, e1, e2, e3, e4 = pad.shifts
-    t = pad.tmp
-    np.multiply(e1, _SIXTEEN, out)
-    np.subtract(out, e0, out)
-    np.multiply(e2, _THIRTY, t)
-    np.subtract(out, t, out)
-    np.multiply(e3, _SIXTEEN, t)
-    np.add(out, t, out)
+    (g0, s0), (g1, s1) = ghosts
+    g0[...], g1[...] = s0, s1
+    e0, _, e2, _, e4 = pad.shifts
+    np.multiply(pad.e, _SIXTEEN, pad.prod)
+    np.subtract(pad.prod1, e0, out)
+    np.subtract(out, np.multiply(e2, _THIRTY, pad.tmp), out)
+    np.add(out, pad.prod3, out)
     np.subtract(out, e4, out)
     return np.divide(out, pad.d2_scale, out)
 
 
 def d2_periodic4(pad, out):
     """4th-order h'' of the curve samples pad.x, into out."""
-    pad.fill(MODE_CURVE)
-    return _d2_five_point(pad, out)
+    return _d2_five_point(pad, pad.periodic, out)
 
 
 def d2_reflect4(pad, out):
     """4th-order h'' of the axisym samples pad.x, into out."""
-    pad.fill(MODE_AXISYM)
-    return _d2_five_point(pad, out)
+    return _d2_five_point(pad, pad.even, out)
 
 
 def d1_reflect4(pad, out):
     """4th-order h' of the axisym samples pad.x, into out:
-    (e0 - 8 e1 + 8 e3 - e4) / (12 dx)."""
-    pad.fill(MODE_AXISYM)
-    e0, e1, _, e3, e4 = pad.shifts
-    t = pad.tmp
-    np.multiply(e1, _EIGHT, t)
-    np.subtract(e0, t, out)
-    np.multiply(e3, _EIGHT, t)
-    np.add(out, t, out)
+    (e0 - 8 e1 + 8 e3 - e4) / (12 dx).  It reads the ghosts as they are: call
+    it after ``d2_reflect4`` on the same samples, which fills them."""
+    e0, _, _, _, e4 = pad.shifts
+    np.multiply(pad.e, _EIGHT, pad.prod)
+    np.subtract(e0, pad.prod1, out)
+    np.add(out, pad.prod3, out)
     np.subtract(out, e4, out)
     return np.divide(out, pad.d1_scale, out)
 
 
-def pole_limit(kappa1, sin_phi, r, out):
-    """``azimuthal_curvature`` of these arrays as a call, its five views built once."""
+def pole_limit(neg_kappa1, sin_phi, r, out):
+    """``azimuthal_curvature`` as a call with no arguments, its five views built
+    once; it takes -kappa1 and writes -(-kappa1) at the poles."""
     inner = sin_phi[1:-1], r[1:-1], out[1:-1]
-    out_poles, kappa1_poles = out[::len(out) - 1], kappa1[::len(kappa1) - 1]
+    out_poles, neg_poles = out[::len(out) - 1], neg_kappa1[::len(neg_kappa1) - 1]
     def limit():
         np.divide(*inner)
-        out_poles[...] = kappa1_poles
+        np.negative(neg_poles, out_poles)
         return out
     return limit
 
@@ -184,7 +179,7 @@ def pole_limit(kappa1, sin_phi, r, out):
 def azimuthal_curvature(kappa1, sin_phi, r, out):
     """kappa2 = sin(phi)/r on the axisym grid, into out, with its umbilic limit
     kappa2 -> kappa1 = 1/(h''+h) at both poles, where sin(phi) = r = 0."""
-    return pole_limit(kappa1, sin_phi, r, out)()
+    return pole_limit(np.negative(kappa1), sin_phi, r, out)()
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 # `geom --directions` at most.  A body's width is a trigonometric polynomial
 # of degree at most N in the angle, which 2N + 1 directions determine: 32,769
-# at the largest grid a run config allows (N = 16,384).  The cap is the next
-# power of two, and bounds the work at one interpolant call per direction.
+# at the largest grid a run config allows (N = trajio.MAX_GRID = 16,384).
+# The cap is the next power of two, and bounds the work at one interpolant
+# call per direction.
 MAX_DIRECTIONS = 65536
 
 
@@ -77,6 +78,9 @@ def build_parser():
 
 
 def _cmd_exact(args):
+    if args.resolution > trajio.MAX_GRID:
+        raise ValueError(f"--resolution must be at most {trajio.MAX_GRID}, "
+                         f"got {args.resolution}")
     family = exact.ExactFamily(args.family, n=args.n, k=args.k, R=args.R)
     t = args.t
     if family.kind in ("sphere", "oval", "cap"):
@@ -107,6 +111,8 @@ def _cmd_exact(args):
 
 
 def _initial_from_config(cfg, seed):
+    """(body, seed) of a curve or axisym run: the seed it was drawn from at
+    random, None for a file or family body."""
     engine_kind = cfg["engine"]
     n = cfg["n"]
     N = cfg.get("N", 256)
@@ -118,7 +124,7 @@ def _initial_from_config(cfg, seed):
         body = trajio.read_slice(init["file"]).body
         if isinstance(body, CapState):
             raise ValueError("a geodesic cap snapshot cannot seed the curve or axisym engine")
-        return body
+        return body, None
     if "family" in init:
         fam = init["family"]
         t = fam.get("t", cfg["t0"])
@@ -127,13 +133,13 @@ def _initial_from_config(cfg, seed):
             body = exact.sphere_slice(n, t, N)
         else:
             body = exact.angenent_oval_slice(t, N)
-        return body.scaled(scale) if scale != 1.0 else body
+        return (body.scaled(scale) if scale != 1.0 else body), None
     rnd = init.get("random", {})
     rseed = rnd.get("seed", seed)
     kwargs = {k: rnd[k] for k in ("modes", "amplitude", "radius") if k in rnd}
     if engine_kind == "curve":
-        return random_convex_curve(N, rseed, **kwargs)
-    return random_convex_profile(n, N, rseed, **kwargs)
+        return random_convex_curve(N, rseed, **kwargs), rseed
+    return random_convex_profile(n, N, rseed, **kwargs), rseed
 
 
 def _cmd_run(args):
@@ -147,13 +153,14 @@ def _cmd_run(args):
             raise ValueError("a cap run starts from its 'cap' block; it takes no 'initial' block")
         traj = evolve_cap(cap["R"], cap["rho0"], cfg["t0"], controls,
                           n=cfg["n"], t_stop=cfg.get("t_stop"))
+        seed = None
     else:
-        body = _initial_from_config(cfg, args.seed)
+        body, seed = _initial_from_config(cfg, args.seed)
         if (cfg["engine"] == "curve") != (body.mode == "curve"):
             raise ValueError("engine does not match the initial body mode")
         traj = evolve(body, cfg["t0"], controls)
     traj.meta["config_hash"] = digest
-    traj.meta["seed"] = cfg.get("initial", {}).get("random", {}).get("seed", args.seed)
+    traj.meta["seed"] = seed
     trajio.write_trajectory(traj, args.out)
     return EXIT_OK
 
@@ -271,7 +278,8 @@ def main(argv=None):
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, NonConvexBodyError, trajio.SchemaMismatchError,
-            trajio.CorruptRecordError, FileNotFoundError,
+            trajio.CorruptRecordError,
+            OSError,  # a path the user gave: missing, a directory, not writable
             # both come from the input body, not from the integrator
             InfeasibleError, diagnostics.NonPositiveCurvatureError) as err:
         sys.stderr.write(f"mcfflow: {err}\n")

@@ -26,13 +26,16 @@ and re-evaluates them.
 The stages are buffered.  One kernel per run (``_Kernel``) holds the state,
 the stage arrays and one stencil workspace (``bodies.Pad4``): a buffer padded
 by two ghost cells at each end, with its five shifted views built once.  A
-stage writes h + (dt/2) k straight into the buffer's interior, the stencil
-fills the ghosts by the grid's boundary rule, and every array operation
-after that is a ufunc writing into a buffer, in the order of operations of
-the textbook formulas.  So no stage pads, slices or allocates, and the
-trajectories are bit-identical to the allocating formulas; the pole limit's
-views are built once, and the checks read extrema by index (``_extremum``).
-``step_curve`` and ``step_axisym`` take their one step on the same kernel.
+stage writes h + (dt/2) k straight into the buffer's interior, the h''
+stencil fills the ghosts by the grid's boundary rule (an axisym stage's h'
+stencil reads them), and every array operation after that is a ufunc writing
+into a buffer, in the order of operations of the textbook formulas.  So no
+stage pads, slices or allocates, and the trajectories are bit-identical to
+the allocating formulas: 16 e1 and 16 e3 are one product of the buffer read
+at two offsets, and -1/rho is -(1/rho).  The pole limit's views are built
+once, the checks read extrema by index (``_extremum``), and kmax is 1 over
+the last stage's min h'' + h.  ``step_curve`` and ``step_axisym`` take their
+one step on the same kernel.
 
 Time gauge.  The flow runs in an internal clock s >= 0 and cannot know the
 extinction time in advance.  After the run the origin is re-anchored so the
@@ -196,7 +199,7 @@ class Trajectory:
 # the stepping kernel: RK4 on buffers built once per run
 # ---------------------------------------------------------------------------
 
-_ONE, _MINUS_ONE, _TWO = _const(1.0), _const(-1.0), _const(2.0)
+_MINUS_ONE, _TWO = _const(-1.0), _const(2.0)
 _ARGMIN, _ARGMAX = np.ndarray.argmin, np.ndarray.argmax
 
 
@@ -212,7 +215,9 @@ class _Kernel:
     The state is ``h``, its right-hand side ``k``, its h'' + h ``rho`` and
     ``kmax``, the largest profile curvature 1/rho.  A stage whose h'' + h
     (or, axisym, r inside the grid) is not positive, NaN included, raises
-    and leaves the state untouched; the checks read extrema by index.  The
+    and leaves the state untouched; the checks read extrema by index, and
+    kmax is 1 over the min h'' + h the last stage's check read (division is
+    correctly rounded and monotone, so this is max 1/rho bit for bit).  The
     pole limit's views are built with the kernel, and the stencils read from
     this module's names ``d2_periodic4``, ``d2_reflect4`` and ``d1_reflect4``
     then, so a wrapper bound there sees every call.
@@ -225,8 +230,7 @@ class _Kernel:
         self._k, self._rho = np.empty(m), np.empty(m)  # the stage's
         self._acc, self._tmp = np.empty(m), np.empty(m)
         self._half, self._full, self._sixth = np.empty(()), np.empty(()), np.empty(())
-        self._curve = profile.mode == MODE_CURVE
-        if self._curve:
+        if profile.mode == MODE_CURVE:
             self._d2, self._rhs = d2_periodic4, self._curve_rhs
             return
         self._d2, self._d1, self._rhs = d2_reflect4, d1_reflect4, self._axisym_rhs
@@ -234,8 +238,8 @@ class _Kernel:
         self._sin, self._cos = np.sin(phi), np.cos(phi)
         self._hp, self._r = np.empty(m), np.empty(m)
         self._r_inner = self._r[1:-1]
-        self._kappa1, self._kappa2 = np.empty(m), np.empty(m)
-        self._kappa2_limit = pole_limit(self._kappa1, self._sin, self._r, self._kappa2)
+        self._neg_kappa1, self._kappa2 = np.empty(m), np.empty(m)
+        self._kappa2_limit = pole_limit(self._neg_kappa1, self._sin, self._r, self._kappa2)
         self._n1 = None if profile.n == 2 else _const(profile.n - 1)
 
     def curvature_radius(self):
@@ -243,39 +247,38 @@ class _Kernel:
         rho = self._d2(self.pad, self._rho)
         return np.add(rho, self.pad.x, rho)
 
-    def _curve_rhs(self):
+    def _checked_rho(self):
         rho = self.curvature_radius()
-        if not _extremum(rho, _ARGMIN) > 0.0:
+        self._rho_min = _extremum(rho, _ARGMIN)
+        if not self._rho_min > 0.0:
             raise ConvexityLostError("h'' + h <= 0 inside a stage")
-        np.divide(_MINUS_ONE, rho, self._k)
+        return rho
+
+    def _curve_rhs(self):
+        np.divide(_MINUS_ONE, self._checked_rho(), self._k)
 
     def _axisym_rhs(self):
-        rho = self.curvature_radius()
-        if not _extremum(rho, _ARGMIN) > 0.0:
-            raise ConvexityLostError("h'' + h <= 0 inside a stage")
+        rho = self._checked_rho()
         hp, r = self._d1(self.pad, self._hp), self._r
         np.multiply(self.pad.x, self._sin, r)
         np.multiply(hp, self._cos, hp)
         np.add(r, hp, r)
         if not _extremum(self._r_inner, _ARGMIN) > 0.0:
             raise PoleSingularityError("profile touched the axis at an interior node")
-        kappa1 = np.divide(_ONE, rho, self._kappa1)
+        # -(kappa1 + (n-1) kappa2) as -kappa1 - (n-1) kappa2, bit for bit:
+        # -1/rho is -(1/rho), and the pole limit negates -kappa1 back
+        neg_kappa1 = np.divide(_MINUS_ONE, rho, self._neg_kappa1)
         kappa2 = self._kappa2_limit()
-        # -(kappa1 + (n-1) kappa2), bit for bit
-        k = np.negative(kappa1, self._k)
         if self._n1 is not None:  # n - 1 = 1 multiplies exactly
             np.multiply(kappa2, self._n1, kappa2)
-        np.subtract(k, kappa2, k)
+        np.subtract(neg_kappa1, kappa2, self._k)
 
     def _commit(self):
         """The last stage's samples, right-hand side and h'' + h become the state."""
         np.copyto(self.h, self.pad.x)
         self.k, self._k = self._k, self.k
         self.rho, self._rho = self._rho, self.rho
-        if self._curve:
-            self.kmax = -float(_extremum(self.k, _ARGMIN))  # k = -1/rho
-        else:
-            self.kmax = float(_extremum(self._kappa1, _ARGMAX))
+        self.kmax = 1.0 / float(self._rho_min)
 
     def reset(self, h):
         """Take h as the state and evaluate its right-hand side."""

@@ -307,6 +307,8 @@ def emit_report(report, path, format="json"):
 # run configuration
 # ---------------------------------------------------------------------------
 
+MAX_GRID = 16384  # the largest grid N a run config or `exact --resolution` takes
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -314,7 +316,7 @@ CONFIG_SCHEMA = {
     "properties": {
         "engine": {"enum": ["curve", "axisym", "cap"]},
         "n": {"type": "integer", "minimum": 1},
-        "N": {"type": "integer", "minimum": 16, "maximum": 16384},
+        "N": {"type": "integer", "minimum": 16, "maximum": MAX_GRID},
         "t0": {"type": "number", "exclusiveMaximum": 0},
         "t_stop": {"type": "number"},
         "controls": {

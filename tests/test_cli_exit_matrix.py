@@ -279,6 +279,71 @@ def test_rescale_window_without_snapshots_is_bad_input(oval_windows, name, windo
                      "--out", str(d / "o"), "--report", str(d / "r")]) == 0
 
 
+# each subcommand's input and output paths, one at a time naming a directory;
+# "{initial}" is a run config whose initial.file is the directory, "{sphere}"
+# the exact sphere over a window classify takes
+DIRECTORY_PATHS = {
+    "exact-out": ["exact", "--family", "sphere", "--n", "1", "--t", "-1",
+                  "--resolution", "32", "--out", "{dir}"],
+    "run-config": ["run", "--config", "{dir}", "--out", "{out}"],
+    "run-initial-file": ["run", "--config", "{initial}", "--out", "{out}"],
+    "run-out": ["run", "--config", "{run}", "--out", "{dir}"],
+    "geom-body": ["geom", "--body", "{dir}"],
+    "diagnose-traj": ["diagnose", "--traj", "{dir}", "--out", "{out}"],
+    "diagnose-out": ["diagnose", "--traj", "{traj}", "--out", "{dir}"],
+    "classify-traj": ["classify", "--traj", "{dir}", "--out", "{out}"],
+    "classify-out": ["classify", "--traj", "{sphere}", "--out", "{dir}"],
+    "rescale-traj": ["rescale", "--traj", "{dir}", "--window", "3", "--out", "{out}",
+                     "--report", "{out}"],
+    "rescale-out": ["rescale", "--traj", "{oval}", "--window", "3", "--out", "{dir}",
+                    "--report", "{out}"],
+    "rescale-report": ["rescale", "--traj", "{oval}", "--window", "3", "--out", "{out}",
+                       "--report", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("row", DIRECTORY_PATHS)
+def test_directory_paths_are_bad_input(inputs, oval_windows, tmp_path, row, capsys):
+    # opening a directory raised IsADirectoryError, which escaped as a traceback
+    d, paths = inputs
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps({"engine": "curve", "n": 1, "t0": -1.0,
+                                   "initial": {"file": str(tmp_path)}}))
+    sphere = str(tmp_path / "sphere.jsonl")
+    trajio.write_trajectory(exact.sample_trajectory(
+        exact.ExactFamily("sphere", n=2), np.geomspace(-100.0, -0.1, 12), 32), sphere)
+    fields = {"dir": str(tmp_path), "out": str(tmp_path / "o"), "initial": str(initial),
+              "run": str(d / "run-curve-curve.json"), "traj": paths["curve_traj"],
+              "oval": oval_windows[1]["five"], "sphere": sphere}
+    assert cli.main([a.format(**fields) for a in DIRECTORY_PATHS[row]]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+EXACT_FAMILIES = {"sphere": ["--n", "2"], "oval": ["--n", "1"], "cap": ["--n", "2", "--R", "3"],
+                  "cylinder": ["--n", "3", "--k", "1"], "grim-reaper": ["--n", "1"]}
+
+
+@pytest.mark.parametrize("resolution", [16385, 10 ** 15], ids=["over-cap", "huge"])
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_exact_resolution_above_the_grid_cap_is_bad_input(tmp_path, family, resolution,
+                                                          capsys):
+    # 16,385 ran (the oval refused it as odd); 10**15 raised numpy's
+    # MemoryError, a traceback, where the family samples a grid, and the cap
+    # and the cylinder, which sample none, ignored it
+    out = tmp_path / "x.json"
+    assert cli.main(["exact", "--family", family, *EXACT_FAMILIES[family], "--t", "-1",
+                     "--resolution", str(resolution), "--out", str(out)]) == 2
+    assert "--resolution must be at most 16384" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_resolution_at_the_grid_cap_runs(tmp_path):
+    out = str(tmp_path / "x.jsonl")
+    assert cli.main(["exact", "--family", "sphere", "--n", "2", "--t", "-1",
+                     "--resolution", "16384", "--out", out]) == 0
+    assert trajio.read_slice(out).body.N == 16384
+
+
 BAD_EXPONENTS = [
     ("--p", "0", "p must be"), ("--p", "-1", "p must be"), ("--p", "nan", "p must be"),
     ("--p", "inf", "p must be"), ("--sigma", "-1", "sigma must"),

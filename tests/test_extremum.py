@@ -9,8 +9,8 @@ The one difference is the sign of a zero among tied zeros: min() and max()
 may return either of +0.0 and -0.0, argmin and argmax the first.  It cannot
 reach the engine.  Every check compares an extremum with 0 (h'' + h > 0,
 r > 0) or with another extremum (min h < 0.25 max h), and IEEE comparison
-treats +0.0 and -0.0 as equal; kmax is read from k = -1/rho < 0 or from
-kappa1 = 1/rho > 0, which hold no zero, and enters dt only squared.
+treats +0.0 and -0.0 as equal; kmax is 1 over the min h'' + h that the
+stage check has just found positive, so it never divides by a zero.
 """
 
 import math

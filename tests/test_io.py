@@ -459,6 +459,42 @@ def test_cli_run_deterministic(tmp_path, capsys):
     assert header["provenance"]["config_hash"] == trajio.config_hash(cfg)
 
 
+# initial block ("file": an exact sphere slice; None: no block), --seed
+# given, the header's provenance.seed
+RUN_SEEDS = {
+    "random-seed": ({"random": {"seed": 7}}, ["--seed", "5"], 7),
+    "random-no-seed": ({"random": {"amplitude": 0.3}}, ["--seed", "5"], 5),
+    "no-initial": (None, ["--seed", "5"], 5),
+    "no-initial-default": (None, [], 0),
+    "family": ({"family": {"kind": "sphere"}}, ["--seed", "5"], None),
+    "file": ("file", ["--seed", "5"], None),
+    "cap": ("cap", ["--seed", "5"], None),
+}
+
+
+@pytest.mark.parametrize("name", RUN_SEEDS)
+def test_run_records_a_seed_only_for_a_random_body(tmp_path, name):
+    # a cap, family or file run recorded --seed (0 by default) as if its body
+    # had been drawn from it
+    initial, seed_argv, seed = RUN_SEEDS[name]
+    cfg = {"engine": "curve", "n": 1, "N": 32, "t0": -1.0,
+           "controls": {"max_dt": 0.01, "stop_rho_plus": 0.3, "snapshot_stride": 16}}
+    if initial == "cap":
+        cfg = {"engine": "cap", "n": 2, "t0": -1.0, "cap": {"R": 3.0, "rho0": 1.0}}
+    elif initial == "file":
+        body = str(tmp_path / "body.jsonl")
+        assert run_cli("exact", "--family", "sphere", "--n", "1", "--t", "-1",
+                       "--resolution", "32", "--out", body) == 0
+        cfg["initial"] = {"file": body}
+    elif initial is not None:
+        cfg["initial"] = initial
+    cfg_path, out = tmp_path / "run.json", tmp_path / "t.jsonl"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(*seed_argv, "run", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert json.loads(out.read_text().splitlines()[0])["provenance"]["seed"] == seed
+    assert trajio.read_trajectory(str(out)).meta["seed"] == seed
+
+
 def test_cli_diagnose_row_count(tmp_path, capsys):
     traj = exact.sample_trajectory(exact.ExactFamily("sphere", 2),
                                    -np.geomspace(4.0, 0.5, 12), 64)

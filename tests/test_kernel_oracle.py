@@ -19,7 +19,9 @@ from mcfflow.bodies import MODE_CURVE
 
 PROPERTY = settings(max_examples=10, derandomize=True, database=None, deadline=None)
 SHAPES = [("curve", 1, 16), ("curve", 1, 64), ("curve", 1, 256),
-          ("axisym", 2, 32), ("axisym", 3, 32), ("axisym", 5, 32)]
+          ("axisym", 2, 32), ("axisym", 3, 32), ("axisym", 5, 32),
+          # the trajectory-analysis and flow-run sizes
+          ("axisym", 2, 64), ("axisym", 2, 128)]
 SHAPE_IDS = [f"{mode}-n{n}-N{N}" for mode, n, N in SHAPES]
 
 
@@ -139,6 +141,37 @@ def test_kernel_step_equals_the_oracle(shape, seed, frac):
     assert np.array_equal(kernel.h, h)
     assert np.array_equal(kernel.k, k) and np.array_equal(kernel.rho, rho)
     assert kernel.dt_bound(0.4) == _oracle_dt_bound(rho, body.step, 0.4)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+@PROPERTY
+@given(st.integers(0, 2 ** 31 - 1), st.floats(0.05, 1.0))
+def test_kmax_is_the_largest_profile_curvature(shape, seed, frac):
+    # kmax is 1 over the min h'' + h of the last stage's check, which must be
+    # max 1/rho to the last bit, after a reset and after a step
+    body = _body(shape, seed)
+    kernel = engine._Kernel(body)
+    kernel.reset(body.h)
+    assert kernel.kmax == float(np.max(1.0 / kernel.rho))
+    kernel.step(frac * kernel.dt_bound(0.4))
+    assert kernel.kmax == float(np.max(1.0 / kernel.rho))
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+@PROPERTY
+@given(st.integers(0, 2 ** 31 - 1))
+def test_d1_after_d2_reads_the_ghosts_d2_filled(N, seed):
+    # d1_reflect4 fills no ghosts: after d2_reflect4 on new samples it must
+    # give the concatenated stencil of those samples, whatever the ghosts held
+    body = _body(("axisym", 2, N), seed)
+    rng = np.random.default_rng(seed)
+    pad = bodies.Pad4(body.h, body.step)
+    pad.e[:] = rng.normal(size=len(pad.e))  # stale ghosts and samples
+    pad.x[:] = body.h
+    d2 = bodies.d2_reflect4(pad, np.empty(len(body.h)))
+    d1 = bodies.d1_reflect4(pad, np.empty(len(body.h)))
+    assert np.array_equal(d2, _d2_4(body.mode, body.h, body.step))
+    assert np.array_equal(d1, _d1_4(body.mode, body.h, body.step))
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)

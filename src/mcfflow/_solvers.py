@@ -14,11 +14,23 @@ every point), the basis inverses and every `hypot`: each support update of
 the enclosing circle makes one `np.hypot` table of its candidate centres
 against its points.  `math.hypot` is not a substitute, as it differs from
 `np.hypot` by one ulp on about 0.6% of random pairs, which moves radii.
+
+The bodies on one grid start the simplex from the same basis, and the slices
+of one flow mostly pivot through the same bases, so each basis inverse and
+its last row are kept in a memo keyed by the bytes of the basis rows (a
+square basis of d rows has 8 d^2 bytes): two different matrices never share
+an entry, and the inverse is a pure function of those rows, so a hit returns
+the very values a fresh inversion would and every pivot, centre and radius
+stays the same bit for bit.  The memo holds at most `_MAX_INVERSES` (64)
+entries and is emptied when full.  A grid plan's constraint matrix is built
+and checked once (`plan_matrix`) and reused whenever the plan's own normals
+are passed in.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -49,20 +61,60 @@ class InfeasibleError(ValueError):
 # segment, the vertex the pivots reach is returned.
 # ---------------------------------------------------------------------------
 
+def _constraints(G, m):
+    """A = [G, 1] of m rows for the (m, d) or (m,) normals G, refusing a
+    non-finite normal by its row."""
+    A = np.column_stack([G, np.ones(m)])
+    if not np.isfinite(A).all():
+        row = int(np.isfinite(A).all(axis=1).argmin())
+        raise InfeasibleError(f"non-finite normal in row {row}")
+    return A
+
+
+# the grid plans' constraint matrices by the id of their normals; an entry
+# goes when its normals do, before their id can be taken by another array
+_PLAN_MATRICES = {}
+
+
+def plan_matrix(G):
+    """[G, 1] of a grid plan's normals G (bodies.grid_plan), built, checked
+    and made read-only once."""
+    A = _constraints(G, len(G))
+    A.flags.writeable = False
+    _PLAN_MATRICES[id(G)] = A
+    weakref.finalize(G, _PLAN_MATRICES.pop, id(G), None)
+    return A
+
+
+_MAX_INVERSES = 64  # the memo's bound; it is emptied when full
+_INVERSES = {}  # the bytes of a basis matrix B: (inv(B), its last row as floats)
+
+
+def _inverse(B):
+    key = B.tobytes()
+    entry = _INVERSES.get(key)
+    if entry is None:
+        if len(_INVERSES) >= _MAX_INVERSES:
+            _INVERSES.clear()
+        Binv = np.linalg.inv(B)
+        Binv.flags.writeable = False
+        entry = _INVERSES[key] = Binv, Binv[-1].tolist()
+    return entry
+
+
 def _max_inscribed(G, h, basis):
     """(c, r) maximizing r subject to G c + r <= h, from a dual-feasible basis."""
     h = np.asarray(h, dtype=float)
     if not np.isfinite(h).all():
         raise InfeasibleError("non-finite support value")
-    A = np.column_stack([G, np.ones(len(h))])
-    if not np.isfinite(A).all():
-        row = int(np.isfinite(A).all(axis=1).argmin())
-        raise InfeasibleError(f"non-finite normal in row {row}")
+    A = _PLAN_MATRICES.get(id(G))
+    if A is None or len(A) != len(h):
+        A = _constraints(G, len(h))
     tol = 1e-9 * max(1.0, 2.0 * float(np.max(np.abs(h))) + 1.0)
     basis = np.array(basis)
     seen, bland = set(), False
     while True:
-        Binv = np.linalg.inv(A[basis])
+        Binv, lam = _inverse(A.take(basis, 0))
         x = Binv @ h[basis]
         s = h - A @ x
         if not np.fmin.reduce(s) < -tol:
@@ -74,7 +126,7 @@ def _max_inscribed(G, h, basis):
             bland, seen = True, set()
         seen.add(key)
         q = int((s < -tol).argmax()) if bland else int(s.argmin())
-        lam, mu = Binv[-1].tolist(), (A[q] @ Binv).tolist()
+        mu = (A[q] @ Binv).tolist()
         ratios = [(lam[i] / mu[i], i) for i in range(len(mu)) if mu[i] > 0.0]
         if not ratios:
             raise InfeasibleError("no basis row can leave: the constraints are inconsistent")
@@ -105,7 +157,7 @@ def chebyshev_center_axis(cosphi, h):
     Returns (a, radius).
     """
     cosphi = np.asarray(cosphi, dtype=float)
-    a, r = _max_inscribed(cosphi[:, None], h, [0, len(cosphi) - 1])
+    a, r = _max_inscribed(cosphi, h, [0, len(cosphi) - 1])
     return float(a[0]), r
 
 

@@ -27,11 +27,23 @@ pole limit ``azimuthal_curvature`` (``pole_limit`` on fixed arrays) and the
 trapezoid weights ``SupportProfile.weights``.  ``engine`` reads the
 4th-order stencils and the pole limit, ``diagnostics`` ``d1``, the pole
 limit and the weights, and ``geometry`` the extension and the weights.
+
+Every array that depends on the grid alone lives in the grid's plan
+(``grid_plan``, one ``GridPlan`` per mode and sample count): the sample
+angles with their cosines and sines, the outer normals, the trapezoid
+weights and the Chebyshev LP's constraint matrix, checked finite once.  A
+plan is built on first use (importing the package builds none), and its
+arrays are read-only, since every body on the grid shares them.
+``SupportProfile.angles``, ``normals`` and ``weights`` return the plan's
+arrays; the interpolant's mode numbers and series weights are kept per
+period length the same way (``_spectral_grid``).  The plans of the last
+``_MAX_GRIDS`` (64) grids used are kept; an older one is rebuilt if needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -188,32 +200,64 @@ def azimuthal_curvature(kappa1, sin_phi, r, out):
 # A shift moves the body by a 2-vector (curve) or along the rotation axis by
 # a scalar (axisym); either acts on the samples as h -> h + <shift, nu>.
 
+@dataclass(frozen=True, eq=False)
+class GridPlan:
+    """The read-only arrays of one grid (see ``grid_plan``); ``lp_matrix`` is
+    the Chebyshev LP's [G | 1], G the normals (curve) or the cosines (axisym)."""
+
+    angles: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    normals: np.ndarray
+    weights: np.ndarray
+    lp_matrix: np.ndarray
+
+
+_MAX_GRIDS = 64  # grids whose plans and tables are kept, least recently used dropped
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=_MAX_GRIDS)
+def grid_plan(mode, m):
+    """The GridPlan of m samples on the grid of `mode`, built on first use and
+    shared, read-only, by every body on that grid."""
+    step = 2.0 * math.pi / m if mode == MODE_CURVE else math.pi / (m - 1)
+    ang = np.arange(m) * step
+    cos, sin = np.cos(ang), np.sin(ang)
+    normals = np.column_stack([cos, sin])
+    weights = np.full(m, step)
+    if mode != MODE_CURVE:
+        weights[[0, -1]] *= 0.5
+    for a in (ang, cos, sin, normals, weights):
+        _read_only(a)
+    return GridPlan(ang, cos, sin, normals, weights,
+                    _solvers.plan_matrix(normals if mode == MODE_CURVE else cos))
+
+
 def sample_angles(mode, m):
     """Normal angles of m support samples: 2*pi*j/m (curve), pi*j/(m-1) (axisym)."""
-    if mode == MODE_CURVE:
-        return np.arange(m) * (2.0 * math.pi / m)
-    return np.arange(m) * (math.pi / (m - 1))
-
-
-def _sample_normals(ang):
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+    return grid_plan(mode, m).angles
 
 
 def shift_support(mode, h, shift):
     """<shift, nu> at the normal angles of the samples h."""
-    ang = sample_angles(mode, len(h))
+    plan = grid_plan(mode, len(h))
     if mode == MODE_CURVE:
-        return _sample_normals(ang) @ np.asarray(shift, dtype=float)
-    return float(shift) * np.cos(ang)
+        return plan.normals @ np.asarray(shift, dtype=float)
+    return float(shift) * plan.cos
 
 
 def chebyshev_ball(mode, h):
     """(center, radius) of the largest ball inside every sampled support
     plane; the center is a 2-vector (curve) or an axial scalar (axisym)."""
-    ang = sample_angles(mode, len(h))
+    plan = grid_plan(mode, len(h))
     if mode == MODE_CURVE:
-        return _solvers.chebyshev_center_curve(_sample_normals(ang), h)
-    return _solvers.chebyshev_center_axis(np.cos(ang), h)
+        return _solvers.chebyshev_center_curve(plan.normals, h)
+    return _solvers.chebyshev_center_axis(plan.cos, h)
 
 
 def recentre(mode, h):
@@ -235,6 +279,19 @@ def _as_key(x):
     return x
 
 
+@functools.lru_cache(maxsize=_MAX_GRIDS)
+def _spectral_grid(N):
+    """(k, w) of N periodic samples, read-only and built once per N: the mode
+    numbers 0..N//2 of the real FFT and their weights in the real series, 1
+    for the mean and an even count's Nyquist mode, 2 for the rest."""
+    k = np.arange(N // 2 + 1)
+    w = np.full(len(k), 2.0)
+    w[0] = 1.0
+    if N % 2 == 0:
+        w[-1] = 1.0
+    return _read_only(k), _read_only(w)
+
+
 class _TrigInterp:
     """Band-limited interpolant of periodic samples; exact on trig polynomials.
 
@@ -254,11 +311,7 @@ class _TrigInterp:
         values = np.asarray(values, dtype=float)
         self.N = len(values)
         self.F = np.fft.rfft(values)
-        self.k = np.arange(len(self.F))
-        w = np.full(len(self.F), 2.0)
-        w[0] = 1.0
-        if self.N % 2 == 0:
-            w[-1] = 1.0
+        self.k, w = _spectral_grid(self.N)
         # coefficient tables [nyquist, order] of orders 0..3, with the
         # Nyquist mode dropped (nyquist 0) or kept (1)
         dF = [self.F]
@@ -354,12 +407,17 @@ class SupportProfile:
     def step(self):
         return 2.0 * math.pi / self.N if self.mode == MODE_CURVE else math.pi / self.N
 
+    @property
+    def plan(self):
+        """The GridPlan of this body's grid (shared, read-only)."""
+        return grid_plan(self.mode, len(self.h))
+
     def angles(self):
-        return sample_angles(self.mode, len(self.h))
+        return self.plan.angles
 
     def normals(self):
         """Profile-plane outer normals at the sample angles, shape (m, 2)."""
-        return _sample_normals(self.angles())
+        return self.plan.normals
 
     # -- discrete differential structure ----------------------------------
 
@@ -374,10 +432,7 @@ class SupportProfile:
     def weights(self):
         """Trapezoid quadrature weights: the grid step, halved at the axisym
         poles; they sum to 2*pi (curve) or pi (axisym)."""
-        w = np.full(len(self.h), self.step)
-        if self.mode == MODE_AXISYM:
-            w[[0, -1]] *= 0.5
-        return w
+        return self.plan.weights
 
     def validate(self):
         h = self.h
@@ -398,8 +453,8 @@ class SupportProfile:
         """Distance of the contact point from the rotation axis (axisym)."""
         if self.mode != MODE_AXISYM:
             raise ValueError("axis_distance is defined for axisym profiles")
-        phi = self.angles()
-        return self.h * np.sin(phi) + self.support_derivative() * np.cos(phi)
+        plan = self.plan
+        return self.h * plan.sin + self.support_derivative() * plan.cos
 
     # -- interpolation and boundary ---------------------------------------
 
@@ -425,10 +480,9 @@ class SupportProfile:
         """
         pts = self._cache.get("boundary")
         if pts is None:
-            a = self.angles()
             interp = self.interpolator()
-            hp = interp.grid_derivative(interp.N)[:len(a)]
-            ca, sa = np.cos(a), np.sin(a)
+            hp = interp.grid_derivative(interp.N)[:len(self.h)]
+            ca, sa = self.plan.cos, self.plan.sin
             pts = np.column_stack([self.h * ca - hp * sa, self.h * sa + hp * ca])
             self._cache["boundary"] = pts
         return pts

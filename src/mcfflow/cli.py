@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -230,15 +231,22 @@ def _cmd_rescale(args):
     rf = analysis.type_two_rescale(traj, args.window)
     fit = analysis.soliton_proximity(rf)
     trajio.write_trajectory(rf, args.out)
-    trajio.emit_report({
-        "window": args.window,
-        "t_k": rf.t_k,
-        "L_k": rf.L_k,
-        "marked_index": rf.marked_index,
-        "type_one_like": rf.type1_flag,
-        "soliton_residual": fit.residual,
-        "soliton_V": list(fit.V),
-    }, args.report)
+    try:
+        trajio.emit_report({
+            "window": args.window,
+            "t_k": rf.t_k,
+            "L_k": rf.L_k,
+            "marked_index": rf.marked_index,
+            "type_one_like": rf.type1_flag,
+            "soliton_residual": fit.residual,
+            "soliton_V": list(fit.V),
+        }, args.report)
+    except BaseException:
+        # a failed command leaves no output behind; a device such as
+        # /dev/null is not an output of ours
+        if os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
     return EXIT_OK
 
 

@@ -114,11 +114,10 @@ def _curve_field(body):
 def _axisym_field(body):
     n = body.n
     dphi = body.step
-    phi = body.angles()
     rho = body.curvature_radius()
     kappa1 = 1.0 / rho
     r = body.axis_distance()
-    kappa2 = azimuthal_curvature(kappa1, np.sin(phi), r, np.empty_like(kappa1))
+    kappa2 = azimuthal_curvature(kappa1, body.plan.sin, r, np.empty_like(kappa1))
     lambdas = np.concatenate([kappa1[:, None], np.repeat(kappa2[:, None], n - 1, axis=1)],
                              axis=1)
     lambdas.sort(axis=1)

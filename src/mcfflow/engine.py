@@ -234,8 +234,7 @@ class _Kernel:
             self._d2, self._rhs = d2_periodic4, self._curve_rhs
             return
         self._d2, self._d1, self._rhs = d2_reflect4, d1_reflect4, self._axisym_rhs
-        phi = profile.angles()
-        self._sin, self._cos = np.sin(phi), np.cos(phi)
+        self._sin, self._cos = profile.plan.sin, profile.plan.cos
         self._hp, self._r = np.empty(m), np.empty(m)
         self._r_inner = self._r[1:-1]
         self._neg_kappa1, self._kappa2 = np.empty(m), np.empty(m)

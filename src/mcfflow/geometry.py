@@ -27,13 +27,14 @@ so the batches are what keeps the results the same bit for bit.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+import functools
 import math
 
 import numpy as np
 
 from . import _solvers
-from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, _pad, chebyshev_ball, recentre,
-                     sphere_surface_area, unit_ball_volume)
+from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, _MAX_GRIDS, _pad, chebyshev_ball,
+                     grid_plan, recentre, sphere_surface_area, unit_ball_volume)
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,28 @@ def _direction_angle(body, direction):
     return math.atan2(float(np.linalg.norm(v[1:])), float(v[0]))
 
 
+@functools.lru_cache(maxsize=_MAX_GRIDS)
+def _search(mode, N):
+    """(grid, (m, j, a)) of the grid of N cells, built once per grid and
+    read-only: the search grid (see _search_grid) and the search index (see
+    _search_index)."""
+    if mode == MODE_CURVE:
+        grid = grid_plan(mode, N).angles
+        j = np.arange(N)
+        index = N, j, (j + N // 2) % N
+    else:
+        grid = np.linspace(0.0, math.pi / 2.0, 2 * N + 1)
+        j = np.arange(2 * N + 1)
+        index = 8 * N, j, 4 * N - j
+    for a in (grid, *index[1:]):
+        a.flags.writeable = False
+    return grid, index
+
+
 def _search_grid(body):
     """Directions searched for width and chord extrema: the curve's sample
     angles, or 2N+1 meridian angles on [0, pi/2] for an axisym body."""
-    if body.mode == MODE_CURVE:
-        return body.angles()
-    return np.linspace(0.0, math.pi / 2.0, 2 * body.N + 1)
+    return _search(body.mode, body.N)[0]
 
 
 def _antipodal_angle(body, t):
@@ -109,11 +126,7 @@ def _search_index(body):
     and the indices a of their antipodal angles.  A curve searches its m = N
     sample angles, antipode j + N/2; an axisym body the first 2N+1 of the
     m = 8N angles over the even extension, antipode 4N - j."""
-    if body.mode == MODE_CURVE:
-        j = np.arange(body.N)
-        return body.N, j, (j + body.N // 2) % body.N
-    j = np.arange(2 * body.N + 1)
-    return 8 * body.N, j, 4 * body.N - j
+    return _search(body.mode, body.N)[1]
 
 
 def _grid_width_and_chord(body):

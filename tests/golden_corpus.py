@@ -4,7 +4,8 @@
 
 runs every case below through `cli.main` in a temporary directory and
 rewrites the table `tests/golden/sha256.json`: per case, the exit status and
-the SHA-256 of the file it writes and of its standard output.  The run
+the SHA-256 of the file it writes (a list of them for a case that writes
+several) and of its standard output.  The run
 configs are the `tests/golden/*.json` next to the table.
 `tests/test_golden.py` regenerates the outputs and compares them with the
 table.  A change that means to move an output reruns this script and names
@@ -31,8 +32,9 @@ from mcfflow import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TABLE = GOLDEN / "sha256.json"
 
-# name: (argv, the file it writes); "{golden}" is the configs' directory and
-# "{out}" the output directory, so later cases read what earlier ones wrote
+# name: (argv, the file it writes, or a tuple of the files); "{golden}" is the
+# configs' directory and "{out}" the output directory, so later cases read
+# what earlier ones wrote
 CASES = {
     "run-curve": (["run", "--config", "{golden}/curve.json", "--out", "{out}/curve.jsonl"],
                   "curve.jsonl"),
@@ -54,6 +56,13 @@ CASES = {
     "exact-oval": (["exact", "--family", "oval", "--n", "1", "--t", "-2", "--resolution", "64",
                     "--out", "{out}/oval.jsonl"], "oval.jsonl"),
     "geom-oval": (["geom", "--body", "{out}/oval.jsonl", "--directions", "8"], None),
+    # a perturbed sphere of radius 20 from t0 = -100: its rescale window
+    # [-50, -1] recentres every slice through the Chebyshev LP
+    "run-rescale": (["run", "--config", "{golden}/rescale.json", "--out", "{out}/rescale.jsonl"],
+                    "rescale.jsonl"),
+    "rescale": (["rescale", "--traj", "{out}/rescale.jsonl", "--window", "50",
+                 "--out", "{out}/rescaled.jsonl", "--report", "{out}/rescale-report.json"],
+                ("rescaled.jsonl", "rescale-report.json")),
 }
 
 
@@ -69,6 +78,12 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _file_sha256(out, written):
+    """SHA-256 of the file out/written, None if there is none."""
+    path = Path(out) / written
+    return _sha256(path.read_bytes()) if path.exists() else None
+
+
 def generate(out):
     """Run every case with outputs under the directory out; {case: entry}."""
     table = {}
@@ -77,10 +92,13 @@ def generate(out):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        path = Path(out) / written if written else None
+        if isinstance(written, tuple):
+            files = [_file_sha256(out, w) for w in written]
+        else:
+            files = written and _file_sha256(out, written)
         table[name] = {
             "exit": code,
-            "file": _sha256(path.read_bytes()) if path and path.exists() else None,
+            "file": files,
             "stdout": _sha256(stdout.getvalue().encode()) if stdout.getvalue() else None,
         }
     return table

@@ -317,6 +317,9 @@ def test_directory_paths_are_bad_input(inputs, oval_windows, tmp_path, row, caps
               "oval": oval_windows[1]["five"], "sphere": sphere}
     assert cli.main([a.format(**fields) for a in DIRECTORY_PATHS[row]]) == 2
     assert "Is a directory" in capsys.readouterr().err
+    # a failed command leaves no output behind: rescale wrote its --out
+    # before it found the --report path unwritable, and kept it
+    assert not (tmp_path / "o").exists()
 
 
 EXACT_FAMILIES = {"sphere": ["--n", "2"], "oval": ["--n", "1"], "cap": ["--n", "2", "--R", "3"],

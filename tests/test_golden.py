@@ -38,6 +38,7 @@ def test_every_case_but_the_bad_config_writes_and_exits_0():
     assert cases.pop("run-cap-initial") == {"exit": 2, "file": None, "stdout": None}
     assert all(entry["exit"] == 0 and (entry["file"] or entry["stdout"])
                for entry in cases.values())
+    assert all(cases["rescale"]["file"])  # the rescaled trajectory and the report
 
 
 def test_a_moved_case_fails_here_and_skips_only_elsewhere(monkeypatch, tmp_path):

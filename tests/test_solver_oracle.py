@@ -11,7 +11,10 @@ of candidate order, tie rule or pruning would show: duplicate and collinear
 points (a triple with no circumcentre), cocircular points (equal radii to the
 last bits), the mirrored sets of `axis_enclosing_ball`, and scales from 1e-150
 to 1e150.  The simplex gets round bodies and polygons as well as random ones,
-where many rows are active at once and ratios tie.
+where many rows are active at once and ratios tie, and sequences: the
+consecutive slices of one flow, whose pivots reuse the basis inverses the
+slice before left in the simplex's memo, and independent bodies solved
+after the memo is emptied, whose pivots invert every basis afresh.
 """
 
 import math
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from mcfflow import _solvers, bodies
+from mcfflow import _solvers, bodies, engine
 from mcfflow._solvers import InfeasibleError
 from mcfflow.bodies import MODE_AXISYM, MODE_CURVE
 
@@ -214,3 +217,73 @@ def test_chebyshev_centre_on_empty_input_matches_the_oracle():
     for mode, nu in ((MODE_CURVE, np.zeros((0, 2))), (MODE_AXISYM, np.zeros(0))):
         h = np.zeros(0)
         assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
+
+
+# ---------------------------------------------------------------------------
+# sequences: the memo of basis inverses hit and missed
+# ---------------------------------------------------------------------------
+
+def _counted_inverses(monkeypatch):
+    """{"hits", "misses"}: the basis inverses the memo held and those it had
+    to compute, counted from here on."""
+    counts = {"hits": 0, "misses": 0}
+    inverse = _solvers._inverse
+
+    def counted(B):
+        counts["hits" if B.tobytes() in _solvers._INVERSES else "misses"] += 1
+        return inverse(B)
+
+    monkeypatch.setattr(_solvers, "_inverse", counted)
+    return counts
+
+
+def _plan_normals(mode, m):
+    """The normals `chebyshev_ball` hands the solver on the grid of m samples."""
+    plan = bodies.grid_plan(mode, m)
+    return plan.normals if mode == MODE_CURVE else plan.cos
+
+
+def _flow_supports():
+    """(mode, h) of the consecutive slices of a random curve run and of a
+    5%-perturbed sphere of radius 20 run from t0 = -100, each slice as stored
+    and moved by a fixed shift, as `type_two_rescale` moves its window."""
+    runs = [(bodies.random_convex_curve(64, 7, amplitude=0.5), -1.0,
+             engine.FlowControls(cfl=0.4, max_dt=0.01, stop_rho_plus=0.1, snapshot_stride=8),
+             (0.05, -0.02)),
+            (bodies.random_convex_profile(2, 32, 11, modes=4, amplitude=0.05, radius=20.0),
+             -100.0, engine.FlowControls(cfl=0.5, max_dt=1.0, stop_rho_plus=1.0,
+                                         snapshot_stride=8), 0.3)]
+    cases = []
+    for body, t0, controls, shift in runs:
+        for sl in engine.evolve(body, t0, controls).slices:
+            h = sl.body.h
+            cases += [(body.mode, h), (body.mode, h + bodies.shift_support(body.mode, h, shift))]
+    return cases
+
+
+def test_consecutive_slices_equal_the_oracle(monkeypatch):
+    # the grid plan's normals, as chebyshev_ball hands them: the prebuilt
+    # constraint matrix, and bases the slice before inverted
+    counts = _counted_inverses(monkeypatch)
+    for mode, h in _flow_supports():
+        nu = _plan_normals(mode, len(h))
+        assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
+    assert counts["hits"] > 2 * counts["misses"] > 0
+
+
+def test_independent_bodies_equal_the_oracle(monkeypatch):
+    counts = _counted_inverses(monkeypatch)
+    rng = np.random.default_rng(5)
+    for seed in range(60):
+        if seed % 3:
+            mode, h = MODE_CURVE, bodies.random_convex_curve(16 * (1 + seed % 4), seed).h
+        else:
+            mode, h = MODE_AXISYM, bodies.random_convex_profile(2 + seed % 2, 40, seed).h
+        shift = rng.uniform(-0.3, 0.3, size=2) if mode == MODE_CURVE else rng.uniform(-0.3, 0.3)
+        h = h + bodies.shift_support(mode, h, shift)
+        nu = _plan_normals(mode, len(h))
+        _solvers._INVERSES.clear()
+        hits = counts["hits"]
+        assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
+        assert counts["hits"] == hits
+    assert counts["misses"] > 60

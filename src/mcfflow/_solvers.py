@@ -22,15 +22,14 @@ square basis of d rows has 8 d^2 bytes): two different matrices never share
 an entry, and the inverse is a pure function of those rows, so a hit returns
 the very values a fresh inversion would and every pivot, centre and radius
 stays the same bit for bit.  The memo holds at most `_MAX_INVERSES` (64)
-entries and is emptied when full.  A grid plan's constraint matrix is built
-and checked once (`plan_matrix`) and reused whenever the plan's own normals
-are passed in.
+entries and is emptied when full.  The simplex takes its constraint matrix
+ready made, from `constraint_matrix`: a grid plan (`bodies.grid_plan`)
+builds and checks its own once, and shares it read-only.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 
 import numpy as np
 
@@ -52,37 +51,23 @@ class InfeasibleError(ValueError):
 # vertex that violates no row is optimal.  No basis is singular for distinct
 # sample angles: three distinct unit normals are never collinear, and two
 # distinct angles in [0, pi] have distinct cosines.  Ties go to the lowest
-# row index.  A non-finite support value or normal is refused up front, the
-# normal by its row.  A NaN slack is skipped by the optimality test but
-# chosen first by the entering-row argmin, so such a row is reported rather
-# than pivoted on.  If a basis repeats, the entering row becomes the lowest
-# violated one (Bland's rule), which cannot cycle in exact arithmetic; a
-# repeat under it is reported rather than looped on.  When the optimum is a
-# segment, the vertex the pivots reach is returned.
+# row index.  A non-finite normal is refused by its row when A is built, and
+# a non-finite support value before any pivot.  A NaN slack is skipped by the
+# optimality test but chosen first by the entering-row argmin, so such a row
+# is reported rather than pivoted on.  If a basis repeats, the entering row
+# becomes the lowest violated one (Bland's rule), which cannot cycle in exact
+# arithmetic; a repeat under it is reported rather than looped on.  When the
+# optimum is a segment, the vertex the pivots reach is returned.
 # ---------------------------------------------------------------------------
 
-def _constraints(G, m):
-    """A = [G, 1] of m rows for the (m, d) or (m,) normals G, refusing a
+def constraint_matrix(G):
+    """A = [G, 1], read-only, for the (m, d) or (m,) normals G, refusing a
     non-finite normal by its row."""
-    A = np.column_stack([G, np.ones(m)])
+    A = np.column_stack([G, np.ones(len(G))])
     if not np.isfinite(A).all():
         row = int(np.isfinite(A).all(axis=1).argmin())
         raise InfeasibleError(f"non-finite normal in row {row}")
-    return A
-
-
-# the grid plans' constraint matrices by the id of their normals; an entry
-# goes when its normals do, before their id can be taken by another array
-_PLAN_MATRICES = {}
-
-
-def plan_matrix(G):
-    """[G, 1] of a grid plan's normals G (bodies.grid_plan), built, checked
-    and made read-only once."""
-    A = _constraints(G, len(G))
     A.flags.writeable = False
-    _PLAN_MATRICES[id(G)] = A
-    weakref.finalize(G, _PLAN_MATRICES.pop, id(G), None)
     return A
 
 
@@ -102,14 +87,11 @@ def _inverse(B):
     return entry
 
 
-def _max_inscribed(G, h, basis):
-    """(c, r) maximizing r subject to G c + r <= h, from a dual-feasible basis."""
+def _max_inscribed(A, h, basis):
+    """(c, r) maximizing r subject to A (c, r) <= h, from a dual-feasible basis."""
     h = np.asarray(h, dtype=float)
     if not np.isfinite(h).all():
         raise InfeasibleError("non-finite support value")
-    A = _PLAN_MATRICES.get(id(G))
-    if A is None or len(A) != len(h):
-        A = _constraints(G, len(h))
     tol = 1e-9 * max(1.0, 2.0 * float(np.max(np.abs(h))) + 1.0)
     basis = np.array(basis)
     seen, bland = set(), False
@@ -137,27 +119,28 @@ def _max_inscribed(G, h, basis):
     return x[:-1], float(x[-1])
 
 
-def chebyshev_center_curve(nu, h):
+def chebyshev_center_curve(A, h):
     """Largest inscribed circle for a plane body given support samples.
 
-    nu: (m,2) unit outer normals at increasing angles once around the
-    circle, h: (m,) support values.  Solves max r subject to
-    <c, nu_j> + r <= h_j.  Returns (center(2,), radius).
+    A: the (m,3) constraint matrix [nu | 1] (`constraint_matrix`) of the
+    unit outer normals nu at increasing angles once around the circle, h:
+    (m,) support values.  Solves max r subject to <c, nu_j> + r <= h_j.
+    Returns (center(2,), radius).
     """
     m = len(h)
     # samples a third of the way round from each other positively span
-    return _max_inscribed(nu, h, [0, m // 3, 2 * m // 3])
+    return _max_inscribed(A, h, [0, m // 3, 2 * m // 3])
 
 
-def chebyshev_center_axis(cosphi, h):
+def chebyshev_center_axis(A, h):
     """Largest inscribed ball with center constrained to the symmetry axis.
 
-    Solves max r subject to a*cos(phi_j) + r <= h_j over the axial
-    coordinate a, with phi running from the pole 0 to the pole pi.
-    Returns (a, radius).
+    A: the (m,2) constraint matrix [cos(phi) | 1] (`constraint_matrix`),
+    with phi running from the pole 0 to the pole pi.  Solves max r subject
+    to a*cos(phi_j) + r <= h_j over the axial coordinate a.  Returns
+    (a, radius).
     """
-    cosphi = np.asarray(cosphi, dtype=float)
-    a, r = _max_inscribed(cosphi, h, [0, len(cosphi) - 1])
+    a, r = _max_inscribed(A, h, [0, len(A) - 1])
     return float(a[0]), r
 
 

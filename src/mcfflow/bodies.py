@@ -29,15 +29,16 @@ trapezoid weights ``SupportProfile.weights``.  ``engine`` reads the
 limit and the weights, and ``geometry`` the extension and the weights.
 
 Every array that depends on the grid alone lives in the grid's plan
-(``grid_plan``, one ``GridPlan`` per mode and sample count): the sample
-angles with their cosines and sines, the outer normals, the trapezoid
-weights and the Chebyshev LP's constraint matrix, checked finite once.  A
-plan is built on first use (importing the package builds none), and its
-arrays are read-only, since every body on the grid shares them.
+(``grid_plan``, one ``GridPlan`` per mode and sample count), the package's
+only cache of grid constants: the sample angles with their cosines and
+sines, the outer normals, the trapezoid weights, the Chebyshev LP's
+constraint matrix (checked finite once), the interpolant's mode numbers and
+series weights, and ``geometry``'s search grid and search index.  A plan is
+built on first use (importing the package builds none), and its arrays are
+read-only, since every body on the grid shares them.
 ``SupportProfile.angles``, ``normals`` and ``weights`` return the plan's
-arrays; the interpolant's mode numbers and series weights are kept per
-period length the same way (``_spectral_grid``).  The plans of the last
-``_MAX_GRIDS`` (64) grids used are kept; an older one is rebuilt if needed.
+arrays.  The plans of the last ``_MAX_GRIDS`` (64) grids used are kept; an
+older one is rebuilt if needed.
 """
 
 from __future__ import annotations
@@ -202,8 +203,16 @@ def azimuthal_curvature(kappa1, sin_phi, r, out):
 
 @dataclass(frozen=True, eq=False)
 class GridPlan:
-    """The read-only arrays of one grid (see ``grid_plan``); ``lp_matrix`` is
-    the Chebyshev LP's [G | 1], G the normals (curve) or the cosines (axisym)."""
+    """The read-only arrays of one grid (see ``grid_plan``).
+
+    ``lp_matrix`` is the Chebyshev LP's [G | 1], G the normals (curve) or the
+    cosines (axisym).  ``modes`` are the interpolant's mode numbers 0..P//2
+    over its period P (m samples of a curve, 2(m-1) of an axisym body's even
+    extension) and ``series_weights`` their weights in the real series: 1
+    for the mean and an even P's Nyquist mode, 2 for the rest.
+    ``search_grid`` and ``search_index`` are ``geometry``'s (see
+    ``geometry._search_grid`` and ``_search_index``).
+    """
 
     angles: np.ndarray
     cos: np.ndarray
@@ -211,9 +220,13 @@ class GridPlan:
     normals: np.ndarray
     weights: np.ndarray
     lp_matrix: np.ndarray
+    modes: np.ndarray
+    series_weights: np.ndarray
+    search_grid: np.ndarray
+    search_index: tuple
 
 
-_MAX_GRIDS = 64  # grids whose plans and tables are kept, least recently used dropped
+_MAX_GRIDS = 64  # grids whose plans are kept, least recently used dropped
 
 
 def _read_only(a):
@@ -225,17 +238,31 @@ def _read_only(a):
 def grid_plan(mode, m):
     """The GridPlan of m samples on the grid of `mode`, built on first use and
     shared, read-only, by every body on that grid."""
-    step = 2.0 * math.pi / m if mode == MODE_CURVE else math.pi / (m - 1)
+    curve = mode == MODE_CURVE
+    step = 2.0 * math.pi / m if curve else math.pi / (m - 1)
     ang = np.arange(m) * step
     cos, sin = np.cos(ang), np.sin(ang)
     normals = np.column_stack([cos, sin])
     weights = np.full(m, step)
-    if mode != MODE_CURVE:
+    period = m if curve else 2 * (m - 1)
+    modes = np.arange(period // 2 + 1)
+    series_weights = np.full(len(modes), 2.0)
+    series_weights[0] = 1.0
+    if period % 2 == 0:
+        series_weights[-1] = 1.0
+    if curve:
+        search_grid, j = ang, np.arange(m)
+        search_index = m, j, (j + m // 2) % m
+    else:
         weights[[0, -1]] *= 0.5
-    for a in (ang, cos, sin, normals, weights):
+        search_grid, j = np.linspace(0.0, math.pi / 2.0, period + 1), np.arange(period + 1)
+        search_index = 4 * period, j, 2 * period - j
+    for a in (ang, cos, sin, normals, weights, modes, series_weights, search_grid,
+              *search_index[1:]):
         _read_only(a)
     return GridPlan(ang, cos, sin, normals, weights,
-                    _solvers.plan_matrix(normals if mode == MODE_CURVE else cos))
+                    _solvers.constraint_matrix(normals if curve else cos), modes,
+                    series_weights, search_grid, search_index)
 
 
 def sample_angles(mode, m):
@@ -254,10 +281,10 @@ def shift_support(mode, h, shift):
 def chebyshev_ball(mode, h):
     """(center, radius) of the largest ball inside every sampled support
     plane; the center is a 2-vector (curve) or an axial scalar (axisym)."""
-    plan = grid_plan(mode, len(h))
+    A = grid_plan(mode, len(h)).lp_matrix
     if mode == MODE_CURVE:
-        return _solvers.chebyshev_center_curve(plan.normals, h)
-    return _solvers.chebyshev_center_axis(plan.cos, h)
+        return _solvers.chebyshev_center_curve(A, h)
+    return _solvers.chebyshev_center_axis(A, h)
 
 
 def recentre(mode, h):
@@ -279,22 +306,11 @@ def _as_key(x):
     return x
 
 
-@functools.lru_cache(maxsize=_MAX_GRIDS)
-def _spectral_grid(N):
-    """(k, w) of N periodic samples, read-only and built once per N: the mode
-    numbers 0..N//2 of the real FFT and their weights in the real series, 1
-    for the mean and an even count's Nyquist mode, 2 for the rest."""
-    k = np.arange(N // 2 + 1)
-    w = np.full(len(k), 2.0)
-    w[0] = 1.0
-    if N % 2 == 0:
-        w[-1] = 1.0
-    return _read_only(k), _read_only(w)
-
-
 class _TrigInterp:
     """Band-limited interpolant of periodic samples; exact on trig polynomials.
 
+    Its mode numbers and series weights are those of a grid plan whose
+    period is the sample count (``GridPlan.modes``, ``series_weights``).
     The interpolant keeps the Nyquist mode of an even sample count, which
     its samples need; the spectral derivative drops it (standard convention).
     ``derivative`` sums the series at arbitrary angles, in O(points * modes);
@@ -307,11 +323,11 @@ class _TrigInterp:
     the same.
     """
 
-    def __init__(self, values):
+    def __init__(self, values, plan):
         values = np.asarray(values, dtype=float)
         self.N = len(values)
         self.F = np.fft.rfft(values)
-        self.k, w = _spectral_grid(self.N)
+        self.k, w = plan.modes, plan.series_weights
         # coefficient tables [nyquist, order] of orders 0..3, with the
         # Nyquist mode dropped (nyquist 0) or kept (1)
         dF = [self.F]
@@ -463,10 +479,10 @@ class SupportProfile:
         interp = self._cache.get("interp")
         if interp is None:
             if self.mode == MODE_CURVE:
-                interp = _TrigInterp(self.h)
+                interp = _TrigInterp(self.h, self.plan)
             else:
                 even = np.concatenate([self.h, self.h[-2:0:-1]])
-                interp = _TrigInterp(even)
+                interp = _TrigInterp(even, self.plan)
             self._cache["interp"] = interp
         return interp
 
@@ -589,7 +605,7 @@ def random_convex_curve(N, seed, modes=6, amplitude=0.7, radius=1.0):
         scale = amplitude * radius / weight
         a *= scale
         b *= scale
-    theta = np.arange(N) * (2.0 * math.pi / N)
+    theta = sample_angles(MODE_CURVE, N)
     h = radius + np.cos(np.outer(theta, m)) @ a + np.sin(np.outer(theta, m)) @ b
     return SupportProfile.from_support_values(MODE_CURVE, 1, h)
 
@@ -604,6 +620,6 @@ def random_convex_profile(n, N, seed, modes=5, amplitude=0.7, radius=1.0):
     weight = float(np.sum((m ** 2 - 1) * np.abs(a)))
     if weight > 0.0:
         a *= amplitude * radius / weight
-    phi = np.arange(N + 1) * (math.pi / N)
+    phi = sample_angles(MODE_AXISYM, N + 1)
     h = radius + np.cos(np.outer(phi, m)) @ a
     return SupportProfile.from_support_values(MODE_AXISYM, n, h)

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, SupportProfile, _cap_geodesic_radius,
-                     shift_support)
+                     sample_angles, shift_support)
 from .engine import TimeSlice, Trajectory
 
 _FAMILIES = ("sphere", "cylinder", "grim-reaper", "oval", "cap", "equator")
@@ -187,8 +187,7 @@ def angenent_oval_slice(t, resolution):
     _require_oval_time(t)
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
-    theta = np.arange(resolution) * (2.0 * math.pi / resolution)
-    h = oval_support_values(t, theta)
+    h = oval_support_values(t, sample_angles(MODE_CURVE, resolution))
     # symmetric body: the Chebyshev center is the origin, no recentering needed
     return SupportProfile(MODE_CURVE, 1, h)
 

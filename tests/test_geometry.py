@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from mcfflow import bodies, exact, geometry
-from mcfflow._solvers import chebyshev_center_curve, min_enclosing_circle
+from mcfflow._solvers import chebyshev_center_curve, constraint_matrix, min_enclosing_circle
 
 
 def unit_disk(N=64, r=1.0):
@@ -130,7 +130,7 @@ def test_chebyshev_matches_dual_oracle():
     for seed in range(6):
         body = bodies.random_convex_curve(24, seed=seed)
         nu = body.normals()
-        _, r = chebyshev_center_curve(nu, body.h)
+        _, r = chebyshev_center_curve(constraint_matrix(nu), body.h)
         assert r == pytest.approx(dual_inscribed_radius(nu, body.h), rel=1e-9)
 
 
@@ -139,7 +139,7 @@ def test_chebyshev_recovers_shifted_circle():
     nu = np.column_stack([np.cos(ang), np.sin(ang)])
     for shift in ([0.4, -0.2], [-1.0, 0.9]):
         h = 3.0 + nu @ np.asarray(shift)
-        c, r = chebyshev_center_curve(nu, h)
+        c, r = chebyshev_center_curve(constraint_matrix(nu), h)
         assert np.allclose(c, shift, atol=1e-10)
         assert r == pytest.approx(3.0, abs=1e-10)
 

@@ -1,10 +1,11 @@
 """The grid plans and the LP's memo of basis inverses.
 
 A grid plan (`bodies.grid_plan`) holds the arrays of one grid that depend on
-nothing but the grid, shared by every body on it; the dual simplex keeps
-recent basis inverses in a bounded memo (`_solvers._INVERSES`).  Neither may
-change an output: every value below must have the same bytes whether both
-were built fresh for the body or reused from the bodies before it.
+nothing but the grid, shared by every body on it, and is the package's one
+cache of them; the dual simplex keeps recent basis inverses in a bounded
+memo (`_solvers._INVERSES`).  Neither may change an output: every value
+below must have the same bytes whether both were built fresh for the body
+or reused from the bodies before it.
 """
 
 import dataclasses
@@ -21,11 +22,8 @@ from mcfflow import _solvers, bodies, diagnostics, engine, geometry
 
 
 def _clear():
-    """Forget every plan, per-grid table and basis inverse."""
+    """Forget every plan and basis inverse."""
     bodies.grid_plan.cache_clear()
-    bodies._spectral_grid.cache_clear()
-    geometry._search.cache_clear()
-    _solvers._PLAN_MATRICES.clear()
     _solvers._INVERSES.clear()
 
 
@@ -65,7 +63,10 @@ def test_shared_arrays_are_read_only():
                 a[0] = 1.0
         plan = body.plan
         assert body.angles() is plan.angles and field.nu is plan.normals
-        assert not plan.lp_matrix.flags.writeable
+        shared = (plan.lp_matrix, plan.modes, plan.series_weights, plan.search_grid,
+                  *plan.search_index[1:])
+        assert not any(a.flags.writeable for a in shared)
+        assert body.interpolator().k is plan.modes
 
 
 @pytest.mark.parametrize("source", ["pool", "perturbed-sphere"])
@@ -95,26 +96,17 @@ def test_the_memo_stays_within_its_bound():
     assert 0 < largest <= _solvers._MAX_INVERSES
 
 
-def test_plans_stay_within_their_bound_and_take_their_matrices_along():
+def test_plans_stay_within_their_bound_and_match_a_matrix_built_per_call():
     _clear()
-    grids = range(16, 16 + 4 * bodies._MAX_GRIDS, 2)  # 2 * _MAX_GRIDS curve grids
-    first = [bodies.grid_plan(bodies.MODE_CURVE, m).normals for m in grids[:3]]
-    for m in grids:
+    for m in range(16, 16 + 4 * bodies._MAX_GRIDS, 2):  # 2 * _MAX_GRIDS curve grids
         h = bodies.random_convex_curve(m, m).h
         # the plan's matrix, and one built for a copy of its normals
         c, r = bodies.chebyshev_ball(bodies.MODE_CURVE, h)
         copy = np.array(bodies.grid_plan(bodies.MODE_CURVE, m).normals)
-        c_copy, r_copy = _solvers.chebyshev_center_curve(copy, h)
+        c_copy, r_copy = _solvers.chebyshev_center_curve(_solvers.constraint_matrix(copy), h)
         assert c.tobytes() == c_copy.tobytes() and r == r_copy
-        assert len(_solvers._PLAN_MATRICES) <= bodies._MAX_GRIDS + len(first)
+        assert bodies.grid_plan.cache_info().currsize <= bodies._MAX_GRIDS
     assert bodies.grid_plan.cache_info().currsize == bodies._MAX_GRIDS
-    # a dropped plan whose normals are still held keeps its matrix, and a
-    # rebuilt one makes new normals with a matrix of their own
-    assert all(id(nu) in _solvers._PLAN_MATRICES for nu in first)
-    again = bodies.grid_plan(bodies.MODE_CURVE, grids[0]).normals
-    assert again is not first[0] and id(again) in _solvers._PLAN_MATRICES
-    del first
-    assert len(_solvers._PLAN_MATRICES) == bodies._MAX_GRIDS
 
 
 def test_import_builds_no_plan():
@@ -123,9 +115,7 @@ def test_import_builds_no_plan():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
-        [sys.executable, "-c", "import mcfflow; from mcfflow import _solvers, bodies, geometry; "
-         "print(bodies.grid_plan.cache_info().currsize, "
-         "bodies._spectral_grid.cache_info().currsize, geometry._search.cache_info().currsize, "
-         "len(_solvers._PLAN_MATRICES), len(_solvers._INVERSES))"],
+        [sys.executable, "-c", "import mcfflow; from mcfflow import _solvers, bodies; "
+         "print(bodies.grid_plan.cache_info().currsize, len(_solvers._INVERSES))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.split() == ["0"] * 5
+    assert done.stdout.split() == ["0"] * 2

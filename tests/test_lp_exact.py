@@ -97,10 +97,10 @@ def _rows(mode, m):
 
 def _chebyshev(mode, h):
     """(c, r) from the public solver for this mode, c as a 1-d array."""
-    G = _rows(mode, len(h))
+    A = _solvers.constraint_matrix(_rows(mode, len(h)))
     if mode == "curve":
-        return _solvers.chebyshev_center_curve(G, h)
-    a, r = _solvers.chebyshev_center_axis(G[:, 0], h)
+        return _solvers.chebyshev_center_curve(A, h)
+    a, r = _solvers.chebyshev_center_axis(A, h)
     return np.array([a]), r
 
 
@@ -148,12 +148,13 @@ def test_infeasible_bodies_raise(mode, h, message):
 @pytest.mark.parametrize("component", [0, 1])
 def test_chebyshev_center_curve_refuses_non_finite_normals(bad, component):
     # one bad entry of one normal: the simplex returned a NaN centre with a
-    # finite radius, or raised an error that named neither the normal nor its row
+    # finite radius, or raised an error that named neither the normal nor its
+    # row; the matrix the simplex takes is refused as it is built
     body = bodies.random_convex_curve(32, 1)
     nu = body.normals().copy()
     nu[5, component] = bad
     with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 5$"):
-        _solvers.chebyshev_center_curve(nu, body.h)
+        _solvers.chebyshev_center_curve(_solvers.constraint_matrix(nu), body.h)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -162,4 +163,4 @@ def test_chebyshev_center_axis_refuses_non_finite_normals(bad):
     cosphi = np.cos(body.angles())
     cosphi[7] = bad
     with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 7$"):
-        _solvers.chebyshev_center_axis(cosphi, body.h)
+        _solvers.chebyshev_center_axis(_solvers.constraint_matrix(cosphi), body.h)

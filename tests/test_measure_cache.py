@@ -277,7 +277,9 @@ def _grid_interpolants():
     mode is as large as any other (a smooth body's is at rounding level)."""
     rng = np.random.default_rng(12)
     out = [pytest.param(b.interpolator(), id=f"{b.mode}-{b.N}") for b in _grid_bodies()]
-    return out + [pytest.param(bodies._TrigInterp(rng.normal(size=N)), id=f"noise-{N}")
+    return out + [pytest.param(bodies._TrigInterp(rng.normal(size=N),
+                                                  bodies.grid_plan(bodies.MODE_CURVE, N)),
+                               id=f"noise-{N}")
                   for N in (16, 63, 64)]
 
 

@@ -141,9 +141,10 @@ def _oracle_centre(mode, nu, h):
 
 
 def _centre(mode, nu, h):
+    A = _solvers.constraint_matrix(nu)
     if mode == MODE_CURVE:
-        return _solvers.chebyshev_center_curve(nu, h)
-    return _solvers.chebyshev_center_axis(nu, h)
+        return _solvers.chebyshev_center_curve(A, h)
+    return _solvers.chebyshev_center_axis(A, h)
 
 
 @st.composite
@@ -238,7 +239,8 @@ def _counted_inverses(monkeypatch):
 
 
 def _plan_normals(mode, m):
-    """The normals `chebyshev_ball` hands the solver on the grid of m samples."""
+    """The normals of the grid plan whose matrix `chebyshev_ball` hands the
+    solver on the grid of m samples."""
     plan = bodies.grid_plan(mode, m)
     return plan.normals if mode == MODE_CURVE else plan.cos
 
@@ -262,12 +264,13 @@ def _flow_supports():
 
 
 def test_consecutive_slices_equal_the_oracle(monkeypatch):
-    # the grid plan's normals, as chebyshev_ball hands them: the prebuilt
-    # constraint matrix, and bases the slice before inverted
+    # through chebyshev_ball: the grid plan's prebuilt constraint matrix, and
+    # bases the slice before inverted
     counts = _counted_inverses(monkeypatch)
     for mode, h in _flow_supports():
         nu = _plan_normals(mode, len(h))
-        assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
+        assert (_outcome(bodies.chebyshev_ball, mode, h)
+                == _outcome(_oracle_centre, mode, nu, h))
     assert counts["hits"] > 2 * counts["misses"] > 0
 
 
@@ -284,6 +287,7 @@ def test_independent_bodies_equal_the_oracle(monkeypatch):
         nu = _plan_normals(mode, len(h))
         _solvers._INVERSES.clear()
         hits = counts["hits"]
-        assert _outcome(_centre, mode, nu, h) == _outcome(_oracle_centre, mode, nu, h)
+        assert (_outcome(bodies.chebyshev_ball, mode, h)
+                == _outcome(_oracle_centre, mode, nu, h))
         assert counts["hits"] == hits
     assert counts["misses"] > 60

@@ -27,6 +27,11 @@ pole limit ``azimuthal_curvature`` (``pole_limit`` on fixed arrays) and the
 trapezoid weights ``SupportProfile.weights``.  ``engine`` reads the
 4th-order stencils and the pole limit, ``diagnostics`` ``d1``, the pole
 limit and the weights, and ``geometry`` the extension and the weights.
+The 4th-order stencils give h'' + h and h' with weights that make mode 1
+exact (``Pad4``), so a translation, which adds the mode-1 term <s, nu>,
+leaves h'' + h unchanged and moves h' by exactly its own derivative.  The
+3-point ``d2`` keeps its textbook weights: the positivity proof above needs
+its +h O(d^2) term, so the convexity test is unchanged.
 
 Every array that depends on the grid alone lives in the grid's plan
 (``grid_plan``, one ``GridPlan`` per mode and sample count), the package's
@@ -105,18 +110,6 @@ def d1(mode, h, dx):
     return (e[2:] - e[:-2]) / (2.0 * dx)
 
 
-def _const(value):
-    """value as a read-only 0-d float64 array.  A ufunc dispatches on one
-    faster than on a Python float, with the same result; the stencils and
-    the engine's stages hold their constants this way."""
-    a = np.array(value, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
-_EIGHT, _SIXTEEN, _THIRTY = _const(8.0), _const(16.0), _const(30.0)
-
-
 class Pad4:
     """Workspace of the 4th-order stencils on one grid of m samples, built once.
 
@@ -124,57 +117,53 @@ class Pad4:
     end; write samples into it and call a stencil.  ``d2_periodic4`` and
     ``d2_reflect4`` fill the ghosts by their grid's rule (``_ghosts``, bound
     here as ``periodic`` and ``even``), ``d1_reflect4`` reads the ghosts
-    ``d2_reflect4`` filled.  A stencil writes into ``out`` through the five
-    shifted views of ``e``, one scratch array and one product buffer: c e,
-    made by one multiply and read at offsets 1 and 3 as c e1 and c e3.  Every
-    ufunc has a positional ``out``; no call slices or allocates.
+    ``d2_reflect4`` filled.  Each stencil is one ``np.correlate`` of ``e``
+    with its five weights, built here for the grid step d:
+
+    * ``w_rho``, h'' + h: the 5-point h'' weights [-1, 16, -30, 16, -1]
+      times -1/(32 cos d - 2 cos 2d - 30), plus 1 at the centre;
+    * ``w_d1``, h': [1, -8, 0, 8, -1] / (16 sin d - 2 sin 2d).
+
+    The factors are 1/(12 d^2) and 1/(12 d) times 1 + O(d^4), so both
+    stencils stay 4th order, and they make mode 1 exact: h'' + h annihilates
+    cos and sin, and h' maps cos to -sin.  The denominators are formed as
+    -16 s (3 + s) with s = sin^2(d/2) and 4 sin d (4 - cos d), which cancel
+    no digits.
     """
 
     def __init__(self, h, dx):
-        m = len(h)
-        self.e, self.prod, self.tmp = np.empty(m + 4), np.empty(m + 4), np.empty(m)
+        self.e = np.empty(len(h) + 4)
         self.x = self.e[2:-2]
         self.x[:] = h
-        self.shifts = tuple(self.e[i:i + m] for i in range(5))
-        self.prod1, self.prod3 = self.prod[1:m + 1], self.prod[3:m + 3]
         self.periodic, self.even = _ghosts(MODE_CURVE, self.e, 2), _ghosts(MODE_AXISYM, self.e, 2)
-        self.d1_scale, self.d2_scale = _const(12.0 * dx), _const(12.0 * dx * dx)
+        s = math.sin(0.5 * dx) ** 2
+        self.w_rho = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (16.0 * s * (3.0 + s))
+        self.w_rho[2] += 1.0
+        self.w_d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (4.0 * math.sin(dx)
+                                                            * (4.0 - math.cos(dx)))
 
 
-def _d2_five_point(pad, ghosts, out):
-    # (-e0 + 16 e1 - 30 e2 + 16 e3 - e4) / (12 dx^2) in that order of
-    # operations; 16 e1 - e0 is bit for bit -e0 + 16 e1
+def _rho_five_point(pad, ghosts):
     (g0, s0), (g1, s1) = ghosts
     g0[...], g1[...] = s0, s1
-    e0, _, e2, _, e4 = pad.shifts
-    np.multiply(pad.e, _SIXTEEN, pad.prod)
-    np.subtract(pad.prod1, e0, out)
-    np.subtract(out, np.multiply(e2, _THIRTY, pad.tmp), out)
-    np.add(out, pad.prod3, out)
-    np.subtract(out, e4, out)
-    return np.divide(out, pad.d2_scale, out)
+    return np.correlate(pad.e, pad.w_rho, "valid")
 
 
-def d2_periodic4(pad, out):
-    """4th-order h'' of the curve samples pad.x, into out."""
-    return _d2_five_point(pad, pad.periodic, out)
+def d2_periodic4(pad):
+    """4th-order h'' + h of the curve samples pad.x, as a new array."""
+    return _rho_five_point(pad, pad.periodic)
 
 
-def d2_reflect4(pad, out):
-    """4th-order h'' of the axisym samples pad.x, into out."""
-    return _d2_five_point(pad, pad.even, out)
+def d2_reflect4(pad):
+    """4th-order h'' + h of the axisym samples pad.x, as a new array."""
+    return _rho_five_point(pad, pad.even)
 
 
-def d1_reflect4(pad, out):
-    """4th-order h' of the axisym samples pad.x, into out:
-    (e0 - 8 e1 + 8 e3 - e4) / (12 dx).  It reads the ghosts as they are: call
-    it after ``d2_reflect4`` on the same samples, which fills them."""
-    e0, _, _, _, e4 = pad.shifts
-    np.multiply(pad.e, _EIGHT, pad.prod)
-    np.subtract(e0, pad.prod1, out)
-    np.add(out, pad.prod3, out)
-    np.subtract(out, e4, out)
-    return np.divide(out, pad.d1_scale, out)
+def d1_reflect4(pad):
+    """4th-order h' of the axisym samples pad.x, as a new array.  It reads the
+    ghosts as they are: call it after ``d2_reflect4`` on the same samples,
+    which fills them."""
+    return np.correlate(pad.e, pad.w_d1, "valid")
 
 
 def pole_limit(neg_kappa1, sin_phi, r, out):

@@ -25,17 +25,19 @@ and re-evaluates them.
 
 The stages are buffered.  One kernel per run (``_Kernel``) holds the state,
 the stage arrays and one stencil workspace (``bodies.Pad4``): a buffer padded
-by two ghost cells at each end, with its five shifted views built once.  A
-stage writes h + (dt/2) k straight into the buffer's interior, the h''
+by two ghost cells at each end, with the stencils' weights built once.  A
+stage writes h + (dt/2) k straight into the buffer's interior.  The h'' + h
 stencil fills the ghosts by the grid's boundary rule (an axisym stage's h'
-stencil reads them), and every array operation after that is a ufunc writing
-into a buffer, in the order of operations of the textbook formulas.  So no
-stage pads, slices or allocates, and the trajectories are bit-identical to
-the allocating formulas: 16 e1 and 16 e3 are one product of the buffer read
-at two offsets, and -1/rho is -(1/rho).  The pole limit's views are built
-once, the checks read extrema by index (``_extremum``), and kmax is 1 over
-the last stage's min h'' + h.  ``step_curve`` and ``step_axisym`` take their
-one step on the same kernel.
+stencil reads them), and each stencil is one ``np.correlate`` of the buffer
+with its five weights, which returns a new array.  The weights make mode 1
+exact, so a translation <s, nu> passes through the right-hand side and the
+flow commutes with recentring, to rounding.  Every other array operation is
+a ufunc writing into a buffer, in the order of operations of the textbook
+formulas, so the trajectories are bit-identical to allocating formulas that
+sum each stencil's weighted samples left to right, and -1/rho is -(1/rho).
+The pole limit's views are built once, the checks read extrema by index
+(``_extremum``), and kmax is 1 over the last stage's min h'' + h.
+``step_curve`` and ``step_axisym`` take their one step on the same kernel.
 
 Time gauge.  The flow runs in an internal clock s >= 0 and cannot know the
 extinction time in advance.  After the run the origin is re-anchored so the
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import geometry
 from .bodies import (CapState, MODE_AXISYM, MODE_CURVE, Pad4, SupportProfile,
-                     NonConvexBodyError, _cap_geodesic_radius, _const, d1_reflect4, d2_periodic4,
+                     NonConvexBodyError, _cap_geodesic_radius, d1_reflect4, d2_periodic4,
                      d2_reflect4, pole_limit, recentre)
 
 
@@ -199,6 +201,15 @@ class Trajectory:
 # the stepping kernel: RK4 on buffers built once per run
 # ---------------------------------------------------------------------------
 
+def _const(value):
+    """value as a read-only 0-d float64 array.  A ufunc dispatches on one
+    faster than on a Python float, with the same result; the stages hold
+    their constants this way."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 _MINUS_ONE, _TWO = _const(-1.0), _const(2.0)
 _ARGMIN, _ARGMAX = np.ndarray.argmin, np.ndarray.argmax
 
@@ -226,8 +237,8 @@ class _Kernel:
     def __init__(self, profile):
         m, self.dtheta = len(profile.h), profile.step
         self.pad = Pad4(profile.h, self.dtheta)
-        self.h, self.k, self.rho, self.kmax = np.empty(m), np.empty(m), np.empty(m), None
-        self._k, self._rho = np.empty(m), np.empty(m)  # the stage's
+        self.h, self.k, self.rho, self.kmax = np.empty(m), np.empty(m), None, None
+        self._k, self._rho = np.empty(m), None  # the stage's
         self._acc, self._tmp = np.empty(m), np.empty(m)
         self._half, self._full, self._sixth = np.empty(()), np.empty(()), np.empty(())
         if profile.mode == MODE_CURVE:
@@ -235,19 +246,18 @@ class _Kernel:
             return
         self._d2, self._d1, self._rhs = d2_reflect4, d1_reflect4, self._axisym_rhs
         self._sin, self._cos = profile.plan.sin, profile.plan.cos
-        self._hp, self._r = np.empty(m), np.empty(m)
+        self._r = np.empty(m)
         self._r_inner = self._r[1:-1]
         self._neg_kappa1, self._kappa2 = np.empty(m), np.empty(m)
         self._kappa2_limit = pole_limit(self._neg_kappa1, self._sin, self._r, self._kappa2)
         self._n1 = None if profile.n == 2 else _const(profile.n - 1)
 
     def curvature_radius(self):
-        """h'' + h of the samples in pad.x, unchecked, into a stage array."""
-        rho = self._d2(self.pad, self._rho)
-        return np.add(rho, self.pad.x, rho)
+        """h'' + h of the samples in pad.x, unchecked, as a new array."""
+        return self._d2(self.pad)
 
     def _checked_rho(self):
-        rho = self.curvature_radius()
+        rho = self._rho = self._d2(self.pad)
         self._rho_min = _extremum(rho, _ARGMIN)
         if not self._rho_min > 0.0:
             raise ConvexityLostError("h'' + h <= 0 inside a stage")
@@ -258,7 +268,7 @@ class _Kernel:
 
     def _axisym_rhs(self):
         rho = self._checked_rho()
-        hp, r = self._d1(self.pad, self._hp), self._r
+        hp, r = self._d1(self.pad), self._r
         np.multiply(self.pad.x, self._sin, r)
         np.multiply(hp, self._cos, hp)
         np.add(r, hp, r)
@@ -276,7 +286,7 @@ class _Kernel:
         """The last stage's samples, right-hand side and h'' + h become the state."""
         np.copyto(self.h, self.pad.x)
         self.k, self._k = self._k, self.k
-        self.rho, self._rho = self._rho, self.rho
+        self.rho = self._rho
         self.kmax = 1.0 / float(self._rho_min)
 
     def reset(self, h):

@@ -12,8 +12,9 @@ table.  A change that means to move an output reruns this script and names
 the cases that moved.
 
 The hashes hold for the environment the table records (`environment`):
-numpy's SIMD sin, cos and hypot may round differently under another numpy or
-on another machine.
+numpy's SIMD sin, cos and hypot may round differently under another numpy,
+on another machine, or at another SIMD dispatch level (`simd_level`: without
+AVX-512, some transcendental loops round differently in the last digit).
 """
 
 import contextlib
@@ -66,12 +67,21 @@ CASES = {
 }
 
 
+def simd_level():
+    """The highest x86-64 microarchitecture level numpy dispatches to in this
+    process, "X86_V2", "X86_V3" or "X86_V4" (AVX-512), or None for none of
+    them.  ``NPY_DISABLE_CPU_FEATURES`` lowers it."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+    found = [level for level in ("X86_V2", "X86_V3", "X86_V4") if features.get(level)]
+    return found[-1] if found else None
+
+
 def environment():
     """What the hashes depend on besides the code."""
     libc, version = platform.libc_ver()
     return {"numpy": np.__version__, "python": platform.python_version(),
             "system": platform.system(), "machine": platform.machine(),
-            "libc": f"{libc} {version}".strip()}
+            "libc": f"{libc} {version}".strip(), "simd": simd_level()}
 
 
 def _sha256(data):

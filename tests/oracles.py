@@ -5,6 +5,7 @@ package computes, kept here for tests to compare against.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,6 +24,30 @@ def cubic_excess_pairform(lambdas):
             li, lj = lambdas[:, i], lambdas[:, j]
             out += li * lj * (li - lj) ** 2
     return out
+
+
+# ---------------------------------------------------------------------------
+# The engine's 4th-order stencils, written out: five weights summed left to
+# right, in the order `np.correlate` sums them.
+# ---------------------------------------------------------------------------
+
+def stencil_weights(dx):
+    """(w_rho, w_d1) on a grid of step dx: the 5-point h'' weights scaled by
+    -1/(32 cos dx - 2 cos 2dx - 30), plus 1 at the centre, and the 5-point h'
+    weights over 16 sin dx - 2 sin 2dx; both denominators are formed without
+    cancellation, as -16 s (3 + s) with s = sin^2(dx/2) and 4 sin dx (4 - cos dx)."""
+    s = math.sin(0.5 * dx) ** 2
+    w_rho = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (16.0 * s * (3.0 + s))
+    w_rho[2] += 1.0
+    w_d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (4.0 * math.sin(dx) * (4.0 - math.cos(dx)))
+    return w_rho, w_d1
+
+
+def five_point(shifted, w):
+    """w[0] e0 + ... + w[4] e4, summed left to right, of the shifted samples
+    e0..e4 (e_i reads the sample i - 2 places along)."""
+    e0, e1, e2, e3, e4 = shifted
+    return w[0] * e0 + w[1] * e1 + w[2] * e2 + w[3] * e3 + w[4] * e4
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_convexity_projection_of_marginal_input():
     theta = np.arange(64) * 2 * math.pi / 64
     h = 1.0 + (1.0 / 3.0) * np.cos(2 * theta)
     h *= 1.0 / (1.0 + 1e-14)  # nudge the margin to ~0
-    rho = bodies.d2_periodic4(bodies.Pad4(h, 2 * math.pi / 64), np.empty(64)) + h
+    rho = bodies.d2_periodic4(bodies.Pad4(h, 2 * math.pi / 64))
     assert np.min(rho) > -1e-12
     ctrl = engine.FlowControls(cfl=0.3, max_dt=1e-3, stop_rho_plus=0.3,
                                snapshot_stride=16)

@@ -4,10 +4,13 @@ The copy below is the stepping loop as it was before the post-step check
 was reused as the next step's first stage: `np.roll` stencils for curves,
 allocating padded stencils for axisym profiles, six stencil evaluations
 per accepted step, and a fresh stability bound from its own stencil every
-step.  Both loops run the same bodies with the same forced stage failure,
-and every state they recentre or emit must match exactly.
+step.  Its stencils sum the engine's weights (`oracles.stencil_weights`)
+left to right; the h'' stencils give h'' + h.  Both loops run the same
+bodies with the same forced stage failure, and every state they recentre or
+emit must match exactly.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -15,30 +18,29 @@ import pytest
 
 from mcfflow import bodies, engine
 from mcfflow.bodies import MODE_CURVE, NonConvexBodyError
+from oracles import five_point, stencil_weights
 
 
 def _roll_d2_periodic4(h, dx):
-    return (-np.roll(h, 2) + 16.0 * np.roll(h, 1) - 30.0 * h
-            + 16.0 * np.roll(h, -1) - np.roll(h, -2)) / (12.0 * dx * dx)
+    shifted = [np.roll(h, 2 - i) for i in range(5)]
+    return five_point(shifted, stencil_weights(dx)[0])
 
 
-def _reflect_pad(h):
-    return np.concatenate([h[2:0:-1], h, h[-2:-4:-1]])
+def _reflect_shifted(h):
+    e = np.concatenate([h[2:0:-1], h, h[-2:-4:-1]])
+    return e[:-4], e[1:-3], e[2:-2], e[3:-1], e[4:]
 
 
 def _concat_d2_reflect4(h, dx):
-    e = _reflect_pad(h)
-    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
-            + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
+    return five_point(_reflect_shifted(h), stencil_weights(dx)[0])
 
 
 def _concat_d1_reflect4(h, dx):
-    e = _reflect_pad(h)
-    return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * dx)
+    return five_point(_reflect_shifted(h), stencil_weights(dx)[1])
 
 
 def _old_rhs(x, mode, n, dtheta, trig, d2):
-    rho = d2(x, dtheta) + x
+    rho = d2(x, dtheta)
     if np.min(rho) <= 0.0:
         raise engine.ConvexityLostError("h'' + h <= 0 inside a stage")
     if mode == MODE_CURVE:
@@ -62,14 +64,14 @@ def _old_evolve(initial, controls, d2):
     h = np.array(initial.h, dtype=float)
     angles = initial.angles()
     dtheta = initial.step
-    rho_min = float(np.min(d2(h, dtheta) + h))
+    rho_min = float(np.min(d2(h, dtheta)))
     if -1e-12 * max(1.0, np.max(h)) < rho_min <= 0.0:
         h = h + (abs(rho_min) + 1e-15 * np.max(h))
     trig = (angles, np.sin(angles), np.cos(angles))
     rhs = lambda x: _old_rhs(x, mode, n, dtheta, trig, d2)
 
     def stability_dt(x):
-        rho = d2(x, dtheta) + x
+        rho = d2(x, dtheta)
         kmax = float(np.max(1.0 / rho))
         return controls.cfl * dtheta * dtheta / (kmax * kmax)
 
@@ -126,10 +128,10 @@ def _nan(h):
 
 
 class _Poison:
-    """Wraps a d2 stencil; on one given input it returns a value that makes
-    h'' + h negative, so that stage fails and the step is retried.  Called
-    as the old loop's allocating stencil, d2(h, dx), or through `in_place`
-    as the engine's, d2(pad, out) on the samples pad.x."""
+    """Wraps an h'' + h stencil; on one given input it returns a negative
+    value, so that stage fails and the step is retried.  Called as the old
+    loop's stencil, d2(h, dx), or through `on_pad` as the engine's, d2(pad)
+    on the samples pad.x."""
 
     def __init__(self, d2, target=None, value=_non_convex):
         self.d2, self.target, self.value = d2, target, value
@@ -147,11 +149,8 @@ class _Poison:
     def __call__(self, h, dx):
         return self.value(h) if self._fires(h) else self.d2(h, dx)
 
-    def in_place(self, pad, out):
-        if self._fires(pad.x):
-            out[:] = self.value(pad.x)
-            return out
-        return self.d2(pad, out)
+    def on_pad(self, pad):
+        return self.value(pad.x) if self._fires(pad.x) else self.d2(pad)
 
 
 def _check_bit_identical(monkeypatch, body, controls, d2_old, d2_name):
@@ -176,7 +175,7 @@ def _check_bit_identical(monkeypatch, body, controls, d2_old, d2_name):
 
     seen.append([])
     new_poison = _Poison(getattr(bodies, d2_name), target)
-    monkeypatch.setattr(engine, d2_name, new_poison.in_place)
+    monkeypatch.setattr(engine, d2_name, new_poison.on_pad)
     traj = engine.evolve(body, -1.0, controls)
     assert new_poison.fired == 1
 
@@ -214,7 +213,7 @@ def test_perturbed_sphere_run_matches_old_loop(monkeypatch):
 def _poisoned_run(monkeypatch, body, controls, name, target, value):
     """evolve with the engine's stencil `name` poisoned on one stage input."""
     poison = _Poison(getattr(bodies, name), target, value)
-    monkeypatch.setattr(engine, name, poison.in_place)
+    monkeypatch.setattr(engine, name, poison.on_pad)
     traj = engine.evolve(body, -1.0, controls)
     monkeypatch.undo()
     assert poison.fired == 1
@@ -255,18 +254,17 @@ def test_step_failure_carries_diagnostics(monkeypatch):
     controls = engine.FlowControls(cfl=0.4, max_dt=1e-2, stop_rho_plus=0.3)
     calls = []
 
-    def failing(pad, out):  # every stage after the first one fails
+    def failing(pad):  # every stage after the first one fails
         calls.append(1)
         if len(calls) <= 2:
-            return bodies.d2_periodic4(pad, out)
-        out[:] = _non_convex(pad.x)
-        return out
+            return bodies.d2_periodic4(pad)
+        return _non_convex(pad.x)
 
     monkeypatch.setattr(engine, "d2_periodic4", failing)
     with pytest.raises(engine.StepFailedError) as info:
         engine.evolve(body, -1.0, controls)
     err = info.value
-    rho = _roll_d2_periodic4(body.h, body.step) + body.h
+    rho = _roll_d2_periodic4(body.h, body.step)
     kmax = float((1.0 / rho).max())
     dt0 = min(controls.max_dt, controls.cfl * body.step * body.step / (kmax * kmax))
     assert err.s == 0.0
@@ -275,6 +273,33 @@ def test_step_failure_carries_diagnostics(monkeypatch):
     assert err.min_rho == float(np.min(rho))
     assert str(err) == (f"step rejected 21 times at s = 0 (dt down to "
                         f"{dt0 / 2.0 ** 20:.3e}): h'' + h <= 0 inside a stage")
+
+
+@pytest.mark.parametrize("mode", ["curve", "axisym"])
+def test_an_accepted_step_costs_four_stencil_calls(monkeypatch, mode):
+    # the benchmark's engine.stencil_evals_per_step, pinned here: the h'' + h
+    # stencil runs 4 times per accepted step, once more per recentre (each
+    # resets the kernel), and twice before the first step
+    if mode == "curve":
+        body = bodies.random_convex_curve(64, 1).translated([0.5, 0.3])
+    else:
+        body = bodies.random_convex_profile(2, 32, 5, amplitude=0.1).translated(0.5)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("d2_periodic4", "d2_reflect4"):
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    monkeypatch.setattr(engine._Kernel, "reset", counted("reset", engine._Kernel.reset))
+    traj = engine.evolve(body, -1.0, engine.FlowControls(stop_rho_plus=0.2))
+    steps, recentres = traj.meta["accepted_steps"], calls.pop("reset") - 1
+    assert steps >= 200 and recentres >= 1
+    assert list(calls) == ["d2_periodic4" if mode == "curve" else "d2_reflect4"]
+    assert (calls.total() - recentres) / steps == pytest.approx(4.0, abs=0.05)
 
 
 def test_initial_body_failing_four_point_test_is_rejected():

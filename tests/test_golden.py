@@ -6,15 +6,21 @@ A change that moves an output fails here until the table is rewritten with
 ``PYTHONPATH=src python tests/golden_corpus.py``, which a change that means to
 move an output does in the same commit, naming the cases that moved.  Under an
 environment other than the table's (numpy version, Python, system, machine,
-libc), where numpy may round differently, moved outputs are reported as a
-skip that names both environments; under the table's environment they fail.
+libc, numpy's SIMD dispatch level), where numpy may round differently, moved
+outputs are reported as a skip that names both environments; under the
+table's environment they fail.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import golden_corpus
+import mcfflow
 
 
 def test_outputs_match_the_golden_table(tmp_path):
@@ -52,3 +58,18 @@ def test_a_moved_case_fails_here_and_skips_only_elsewhere(monkeypatch, tmp_path)
                         lambda: {**table["environment"], "numpy": "0.0"})
     with pytest.raises(pytest.skip.Exception, match="geom-oval"):
         test_outputs_match_the_golden_table(tmp_path)
+
+
+def test_the_environment_names_the_simd_level():
+    # numpy's loops without AVX-512 round some outputs differently: a process
+    # with them turned off must not read as the table's environment
+    assert golden_corpus.environment()["simd"] == golden_corpus.simd_level()
+    if golden_corpus.simd_level() != "X86_V4":
+        pytest.skip(f"numpy dispatches to {golden_corpus.simd_level()} here, not X86_V4")
+    paths = [pathlib.Path(m.__file__).resolve().parent for m in (golden_corpus, mcfflow)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.pathsep.join([str(paths[0]), str(paths[1].parent)]))
+    done = subprocess.run([sys.executable, "-c", "import golden_corpus; "
+                           "print(golden_corpus.simd_level())"],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "X86_V3"

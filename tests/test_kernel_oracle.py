@@ -1,11 +1,12 @@
 """The buffered RK4 kernel against a frozen allocating copy, bit for bit.
 
-The oracle below is the engine's right-hand side and RK4 step as they were
-written before the stepping moved onto one padded workspace per run: every
-stencil pads its input by concatenation, every stage and combination
-allocates.  On random curves and axisymmetric profiles the kernel must give
-the same k, h'' + h and new h to the last bit, a stage that raises must leave
-its state untouched, and the snapshots `evolve` returns must own their memory.
+The oracle below is the engine's right-hand side and RK4 step written as
+allocating formulas: every stencil pads its input by concatenation and sums
+its five weighted samples left to right (`oracles.stencil_weights`, the
+weights that make mode 1 exact), every stage and combination allocates.  On
+random curves and axisymmetric profiles the kernel must give the same k,
+h'' + h and new h to the last bit, a stage that raises must leave its state
+untouched, and the snapshots `evolve` returns must own their memory.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcfflow import bodies, engine
 from mcfflow.bodies import MODE_CURVE
+from oracles import five_point, stencil_weights
 
 PROPERTY = settings(max_examples=10, derandomize=True, database=None, deadline=None)
 SHAPES = [("curve", 1, 16), ("curve", 1, 64), ("curve", 1, 256),
@@ -35,21 +37,23 @@ def _pad2(mode, h):
     return np.concatenate([h[2:0:-1], h, h[-2:-4:-1]])
 
 
-def _d2_4(mode, h, dx):
+def _shifted(mode, h):
     e = _pad2(mode, h)
-    return (-e[:-4] + 16.0 * e[1:-3] - 30.0 * e[2:-2]
-            + 16.0 * e[3:-1] - e[4:]) / (12.0 * dx * dx)
+    return e[:-4], e[1:-3], e[2:-2], e[3:-1], e[4:]
+
+
+def _rho_4(mode, h, dx):
+    return five_point(_shifted(mode, h), stencil_weights(dx)[0])
 
 
 def _d1_4(mode, h, dx):
-    e = _pad2(mode, h)
-    return (e[:-4] - 8.0 * e[1:-3] + 8.0 * e[3:-1] - e[4:]) / (12.0 * dx)
+    return five_point(_shifted(mode, h), stencil_weights(dx)[1])
 
 
 def _oracle_rhs(body, x):
     """(k, rho) of the samples x, or the stage error the engine raises."""
     dx = body.step
-    rho = _d2_4(body.mode, x, dx) + x
+    rho = _rho_4(body.mode, x, dx)
     if not rho.min() > 0.0:
         raise engine.ConvexityLostError("h'' + h <= 0 inside a stage")
     if body.mode == MODE_CURVE:
@@ -96,12 +100,11 @@ class _FailAt:
     def __init__(self, name, at):
         self.stencil, self.at, self.calls = getattr(bodies, name), at, 0
 
-    def __call__(self, pad, out):
+    def __call__(self, pad):
         self.calls += 1
         if self.calls >= self.at:
-            out[:] = np.nan
-            return out
-        return self.stencil(pad, out)
+            return np.full(len(pad.x), np.nan)
+        return self.stencil(pad)
 
 
 @contextlib.contextmanager
@@ -168,9 +171,9 @@ def test_d1_after_d2_reads_the_ghosts_d2_filled(N, seed):
     pad = bodies.Pad4(body.h, body.step)
     pad.e[:] = rng.normal(size=len(pad.e))  # stale ghosts and samples
     pad.x[:] = body.h
-    d2 = bodies.d2_reflect4(pad, np.empty(len(body.h)))
-    d1 = bodies.d1_reflect4(pad, np.empty(len(body.h)))
-    assert np.array_equal(d2, _d2_4(body.mode, body.h, body.step))
+    rho = bodies.d2_reflect4(pad)
+    d1 = bodies.d1_reflect4(pad)
+    assert np.array_equal(rho, _rho_4(body.mode, body.h, body.step))
     assert np.array_equal(d1, _d1_4(body.mode, body.h, body.step))
 
 

@@ -16,7 +16,7 @@ CFL = 0.5  # the bound step_curve enforces
 
 
 def _stability_bound(body):
-    rho = bodies.d2_periodic4(bodies.Pad4(body.h, body.step), np.empty(body.N)) + body.h
+    rho = bodies.d2_periodic4(bodies.Pad4(body.h, body.step))
     return CFL * body.step ** 2 * float(np.min(rho)) ** 2
 
 

@@ -1,19 +1,12 @@
 """Small exact solvers backing the convex-body measurements.
 
 Everything here is dependency-free and deterministic, with no randomness
-anywhere: the inscribed-ball problem is a linear program in at most three
-unknowns, solved by a dual simplex, and the enclosing-ball problem is the
-minimum enclosing circle, found by a support-set iteration whose support
-never holds more than three points.
-
-Both solvers are small, so their scalar work (the circle centres, the
-simplex ratio test, every comparison) runs on Python floats: these round
-exactly as numpy's float64 scalars do, at a fraction of the cost per
-operation.  numpy keeps the work over whole arrays (slacks, distances to
-every point), the basis inverses and every `hypot`: each support update of
-the enclosing circle makes one `np.hypot` table of its candidate centres
-against its points.  `math.hypot` is not a substitute, as it differs from
-`np.hypot` by one ulp on about 0.6% of random pairs, which moves radii.
+anywhere: the inscribed-ball and the enclosing-ball problems are linear
+programs in at most three unknowns on the same constraint matrix, and one
+dual simplex solves both.  Its scalar work (the ratio test, every
+comparison) runs on Python floats, which round exactly as numpy's float64
+scalars do, at a fraction of the cost per operation; numpy keeps the work
+over whole arrays (slacks, basis inverses).
 
 The bodies on one grid start the simplex from the same basis, and the slices
 of one flow mostly pivot through the same bases, so each basis inverse and
@@ -28,8 +21,6 @@ builds and checks its own once, and shares it read-only.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -145,117 +136,35 @@ def chebyshev_center_axis(A, h):
 
 
 # ---------------------------------------------------------------------------
-# Minimum enclosing circle (plane case) and axial enclosing ball.
+# Smallest enclosing balls, by the same dual simplex.
+#
+# For a convex body, max over x in K of |x - c| = max over u of h(u) - <c, u>,
+# so the smallest ball holding every sampled support plane solves
+# minimize R subject to h_j - <c, G_j> <= R.  With k = 2 max|h| and c' = -c,
+# r = k - R, that is maximize r subject to <c', G_j> + r <= k - h_j: the
+# inscribed-ball LP of the support values k - h, on the same matrix and from
+# the same start bases.  k makes those values at least max|h|, so that LP
+# always has room; an R below zero means the samples hold no body.
 # ---------------------------------------------------------------------------
 
-_REL_EPS = 1.0 + 1e-12
+def _min_enclosing(A, h, basis):
+    """(c, R) minimizing R subject to h_j - <c, G_j> <= R, A = [G, 1]."""
+    h = np.asarray(h, dtype=float)
+    k = 2.0 * float(np.max(np.abs(h)))
+    c, r = _max_inscribed(A, k - h, basis)
+    if k - r < -1e-9 * max(1.0, k + 1.0):
+        raise InfeasibleError("empty body: the support planes enclose no point")
+    return -c, k - r
 
 
-def _midpoint(p, q):
-    return 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
+def min_enclosing_circle(A, h):
+    """Smallest circle holding every sampled support plane of a plane body:
+    (center(2,), radius), on the inputs of `chebyshev_center_curve`."""
+    return _min_enclosing(A, h, [0, len(A) // 3, 2 * len(A) // 3])
 
 
-def _circumcentre(a, b, c):
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
-    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if d == 0.0:
-        return None
-    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-              + (cx * cx + cy * cy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-              + (cx * cx + cy * cy) * (bx - ax)) / d
-    return x, y
-
-
-_MAX_SUPPORT_ITERS = 64
-# the index pairs, then the index triples, of a support of n points, each in
-# `itertools.combinations` order: the candidate circles of one support update
-_CANDIDATES = {n: [sub for k in (2, 3) for sub in itertools.combinations(range(n), k)]
-               for n in (2, 3, 4)}
-
-
-def _smallest_cover(support):
-    """(support, circle): the smallest circle through 2 or 3 of the 2 to 4
-    points given that covers all of them, and the points defining it.
-
-    Candidates go in `_CANDIDATES` order and the first smallest wins; a
-    triple whose points are collinear has no centre and is dropped.  One
-    `np.hypot` table of every candidate centre against every point gives both
-    a candidate's radius (the largest distance to its defining points) and
-    its containment test.  The points are finite, so a row of the table is
-    NaN throughout or nowhere, and its max decides containment as a test of
-    every point would.
-    """
-    subsets, centres = [], []
-    for sub in _CANDIDATES[len(support)]:
-        c = (_midpoint(support[sub[0]], support[sub[1]]) if len(sub) == 2
-             else _circumcentre(support[sub[0]], support[sub[1]], support[sub[2]]))
-        if c is not None:
-            subsets.append(sub)
-            centres.append(c)
-    offset = np.array(centres)[:, None, :] - np.array(support)
-    dist = np.hypot(offset[..., 0], offset[..., 1]).tolist()
-    best = None
-    for sub, (cx, cy), row in zip(subsets, centres, dist):
-        r = max([row[i] for i in sub])
-        if best is not None and r >= best[1][2]:
-            continue
-        if max(row) <= r * _REL_EPS + 1e-300:
-            best = ([support[i] for i in sub], (cx, cy, r))
-    return best
-
-
-def _enclosing_circle(pts):
-    """(cx, cy, r) of the minimum enclosing circle of an (m,2) point array.
-
-    Support-set iteration (Elzinga and Hearn 1972): start from the circle on
-    the farthest pair; while some point lies outside, add the farthest one to
-    the support and replace the support by the at most 3 of its points that
-    define the smallest circle covering it.  The radius grows strictly, so
-    the iteration ends; a run past the cap is reported, not looped on.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError("expected a nonempty (m,2) point array")
-    if not np.isfinite(pts).all():
-        raise ValueError("non-finite point in the enclosing-circle input")
-    x, y = pts[:, 0], pts[:, 1]
-    i = int(np.argmax(np.hypot(x - x[0], y - y[0])))
-    j = int(np.argmax(np.hypot(x - x[i], y - y[i])))
-    support, c = _smallest_cover([tuple(pts[i].tolist()), tuple(pts[j].tolist())])
-    for _ in range(_MAX_SUPPORT_ITERS):
-        d = np.hypot(x - c[0], y - c[1])
-        k = int(np.argmax(d))
-        if d[k] <= c[2] * _REL_EPS + 1e-300:
-            return c
-        support, c = _smallest_cover(support + [tuple(pts[k].tolist())])
-    raise FloatingPointError(
-        f"enclosing circle did not settle in {_MAX_SUPPORT_ITERS} support updates")
-
-
-def min_enclosing_circle(points):
-    """Exact minimum enclosing circle of a point set; (center(2,), radius)."""
-    c = _enclosing_circle(points)
-    return np.array([c[0], c[1]]), float(c[2])
-
-
-def axis_enclosing_ball(x, rsq):
-    """Smallest ball centered on the axis enclosing circular orbits.
-
-    Orbit j lives at axial coordinate x_j with squared distance rsq_j from
-    the axis.  The result is the minimum enclosing circle of the meridian
-    points (x_j, +-sqrt(rsq_j)), which is exact: that point set is symmetric
-    about the axis and its minimum enclosing circle is unique, so the centre
-    lies on the axis, and a ball centred on the axis holds orbit j exactly
-    when it holds (x_j, sqrt(rsq_j)).  Returns (a, radius).
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.asarray(rsq, dtype=float))
-    c = _enclosing_circle(np.column_stack([np.concatenate([x, x]),
-                                           np.concatenate([r, -r])]))
-    return float(c[0]), float(c[2])
-
+def axis_enclosing_ball(A, h):
+    """Smallest ball centred on the axis holding every sampled support plane:
+    (a, radius), on the inputs of `chebyshev_center_axis`."""
+    a, r = _min_enclosing(A, h, [0, len(A) - 1])
+    return float(a[0]), r

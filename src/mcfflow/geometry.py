@@ -7,21 +7,24 @@ turning a reverse isoperimetric bound into an outer/inner radius bound.
 Conventions.  For a body measured here, ``area`` is the n-dimensional
 boundary measure |M| and ``volume`` the (n+1)-dimensional enclosed measure
 |Omega|.  Quadrature is trapezoidal with metric weights, O(N^-2), on the
-grid weights of ``SupportProfile.weights``.  The outer
-radius is the exact minimum enclosing ball of the sampled boundary, a
-lower-biased estimate of the continuum value with error O(N^-2), computed
-deterministically: for a plane body the minimum enclosing circle of the
-boundary points, for an axisymmetric body the minimum enclosing circle of the
-meridian and its mirror image in the axis.  Widths and the diameter are the
-extrema of the width and the antipodal chord over the normal angle, found on
-an equispaced direction grid, where the interpolant is evaluated by
-zero-padded inverse FFT in O(N log N), and refined together by one batched,
-safeguarded Newton iteration on the interpolant's exact derivatives, summed
-directly at the off-grid iterates (see _extrema).  The iteration keeps each
-start's bookkeeping on Python floats and leaves numpy one interpolant call
-and one `hypot` per iteration, over the same batch of starts as an array
-form would use: a matrix product rounds by the set of angles it is given,
-so the batches are what keeps the results the same bit for bit.
+grid weights of ``SupportProfile.weights``.  The outer radius is the
+smallest R with h_j - <c, nu_j> <= R at every sample, centred anywhere for a
+plane body and on the axis for an axisymmetric one: the smallest ball
+holding every sampled support plane, from the dual simplex of the inner
+radius, run on the support values alone.  For a convex body max |x - c| over
+x in K is max h(u) - <c, u> over all directions u, so this is the exact
+outer radius of the samples, a lower-biased estimate of the continuum value
+with error O(N^-2) (exact when the farthest directions are sample angles).
+Widths and the diameter are the extrema of the width and the antipodal chord
+over the normal angle, found on an equispaced direction grid, where the
+interpolant is evaluated by zero-padded inverse FFT in O(N log N), and
+refined together by one batched, safeguarded Newton iteration on the
+interpolant's exact derivatives, summed directly at the off-grid iterates
+(see _extrema).  The iteration keeps each start's bookkeeping on Python
+floats and leaves numpy one interpolant call and one `hypot` per iteration,
+over the same batch of starts as an array form would use: a matrix product
+rounds by the set of angles it is given, so the batches are what keeps the
+results the same bit for bit.
 """
 
 from __future__ import annotations
@@ -269,14 +272,11 @@ def diameter(body):
 
 
 def outer_radius(body):
-    """Radius of the smallest enclosing ball of the sampled boundary."""
-    pts = body.boundary_points()
+    """Radius of the smallest ball holding every sampled support plane: the
+    enclosing-ball LP on the support samples and the grid plan's matrix."""
     if body.mode == MODE_CURVE:
-        _, r = _solvers.min_enclosing_circle(pts)
-        return r
-    # orbits of the meridian samples; center constrained to the axis
-    _, r = _solvers.axis_enclosing_ball(pts[:, 0], pts[:, 1] ** 2)
-    return r
+        return _solvers.min_enclosing_circle(body.plan.lp_matrix, body.h)[1]
+    return _solvers.axis_enclosing_ball(body.plan.lp_matrix, body.h)[1]
 
 
 def inner_radius(body):

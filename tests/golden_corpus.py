@@ -14,10 +14,14 @@ the cases that moved.
 The hashes hold for the environment the table records (`environment`):
 numpy's SIMD sin, cos and hypot may round differently under another numpy,
 on another machine, or at another SIMD dispatch level (`simd_level`: without
-AVX-512, some transcendental loops round differently in the last digit).
+AVX-512, some transcendental loops round differently in the last digit), and
+OpenBLAS's matrix products and least squares under another kernel family
+(`blas_core`: the simplex's products and `np.polyfit` round differently
+under ``OPENBLAS_CORETYPE=Prescott``).
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -76,12 +80,25 @@ def simd_level():
     return found[-1] if found else None
 
 
+def blas_core():
+    """The kernel family numpy's bundled OpenBLAS dispatches to in this
+    process, such as "SkylakeX", or None where numpy bundles no OpenBLAS that
+    names it.  ``OPENBLAS_CORETYPE`` changes it."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def environment():
     """What the hashes depend on besides the code."""
     libc, version = platform.libc_ver()
     return {"numpy": np.__version__, "python": platform.python_version(),
             "system": platform.system(), "machine": platform.machine(),
-            "libc": f"{libc} {version}".strip(), "simd": simd_level()}
+            "libc": f"{libc} {version}".strip(), "simd": simd_level(),
+            "blas_core": blas_core()}
 
 
 def _sha256(data):

@@ -4,7 +4,6 @@ Each is an independent, slower or more literal form of something the
 package computes, kept here for tests to compare against.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -51,79 +50,10 @@ def five_point(shifted, w):
 
 
 # ---------------------------------------------------------------------------
-# The two small solvers of `mcfflow._solvers` as they were written when every
-# scalar went through numpy: one `np.hypot` call per distance, one containment
-# test per point and candidate, and an array ratio test in the dual simplex.
-# Frozen here so the solvers can be checked against them bit for bit.
+# The dual simplex of `mcfflow._solvers` as it was written when every scalar
+# went through numpy, with an array ratio test.  Frozen here so the solver can
+# be checked against it bit for bit.
 # ---------------------------------------------------------------------------
-
-_REL_EPS = 1.0 + 1e-12
-_MAX_SUPPORT_ITERS = 64
-
-
-def _in_circle(c, p):
-    return np.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS + 1e-300
-
-
-def _diameter_circle(p, q):
-    cx = 0.5 * (p[0] + q[0])
-    cy = 0.5 * (p[1] + q[1])
-    r = max(np.hypot(cx - p[0], cy - p[1]), np.hypot(cx - q[0], cy - q[1]))
-    return (cx, cy, r)
-
-
-def _circumcircle(a, b, c):
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
-    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if d == 0.0:
-        return None
-    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-              + (cx * cx + cy * cy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-              + (cx * cx + cy * cy) * (bx - ax)) / d
-    r = max(np.hypot(x - a[0], y - a[1]),
-            np.hypot(x - b[0], y - b[1]),
-            np.hypot(x - c[0], y - c[1]))
-    return (x, y, r)
-
-
-def _smallest_cover(support):
-    best = None
-    for k in (2, 3):
-        for sub in itertools.combinations(support, k):
-            c = _diameter_circle(*sub) if k == 2 else _circumcircle(*sub)
-            if c is None or (best is not None and c[2] >= best[1][2]):
-                continue
-            if all(_in_circle(c, p) for p in support):
-                best = (list(sub), c)
-    return best
-
-
-def enclosing_circle(pts):
-    """(cx, cy, r) of the minimum enclosing circle of an (m,2) point array."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError("expected a nonempty (m,2) point array")
-    if not np.isfinite(pts).all():
-        raise ValueError("non-finite point in the enclosing-circle input")
-    x, y = pts[:, 0], pts[:, 1]
-    i = int(np.argmax(np.hypot(x - x[0], y - y[0])))
-    j = int(np.argmax(np.hypot(x - x[i], y - y[i])))
-    support = [tuple(pts[i]), tuple(pts[j])]
-    c = _diameter_circle(*support)
-    for _ in range(_MAX_SUPPORT_ITERS):
-        d = np.hypot(x - c[0], y - c[1])
-        k = int(np.argmax(d))
-        if d[k] <= c[2] * _REL_EPS + 1e-300:
-            return c
-        support, c = _smallest_cover(support + [tuple(pts[k])])
-    raise FloatingPointError(
-        f"enclosing circle did not settle in {_MAX_SUPPORT_ITERS} support updates")
-
 
 def max_inscribed(G, h, basis):
     """(c, r) maximizing r subject to G c + r <= h, from a dual-feasible basis."""

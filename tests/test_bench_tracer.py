@@ -3,8 +3,8 @@
 `bench/spans.py` times the package by patching the entry points it names in
 `LAYERS`, wherever a module of the package binds them.  A rename, or an
 engine that stops calling a traced stencil through its traced name, would
-otherwise show only in a traced benchmark run.  The tracer is loaded from
-its source without importing the bench directory.
+otherwise show only in a traced benchmark run, as a layer reading 0.  The
+tracer is loaded from its source without importing the bench directory.
 """
 
 import pathlib
@@ -14,6 +14,7 @@ import types
 # the tracer finds each layer in sys.modules
 from mcfflow import (_solvers, analysis, bodies, cli, diagnostics, engine,  # noqa: F401
                      exact, geometry, trajio)
+from mcfflow.bodies import random_convex_curve, random_convex_profile
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 ENGINE_STENCILS = ("d2_periodic4", "d2_reflect4", "d1_reflect4")
@@ -42,3 +43,21 @@ def test_engine_binds_the_traced_stencils():
              for owner, attr, original, _ in _spans().Tracer()._sites}
     for name in ENGINE_STENCILS:
         assert ("mcfflow.engine", name, getattr(bodies, name)) in sites, name
+
+
+def test_a_traced_measure_counts_one_enclosing_ball_per_body():
+    spans = _spans()
+    tracer = spans.Tracer()
+    mark = tracer.mark()
+    tracer.install("measure")
+    try:
+        for body in (random_convex_curve(32, 1), random_convex_profile(2, 32, 1)):
+            geometry.measure(body)
+    finally:
+        tracer.uninstall()
+    group = tracer.since(mark)
+    names = [rec[3] for rec in group[0]]
+    assert names.count("_solvers.min_enclosing_circle") == 1
+    assert names.count("_solvers.axis_enclosing_ball") == 1
+    metrics = spans.layer_metrics(group)
+    assert metrics["solvers.mec.calls"] == metrics["geometry.measure.calls"] == 2

@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from mcfflow import bodies, exact, geometry
-from mcfflow._solvers import chebyshev_center_curve, constraint_matrix, min_enclosing_circle
+from mcfflow._solvers import chebyshev_center_curve, constraint_matrix
 
 
 def unit_disk(N=64, r=1.0):
@@ -117,14 +117,6 @@ def dual_inscribed_radius(nu, h):
     return best
 
 
-def test_welzl_matches_naive_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(8):
-        pts = rng.normal(size=(40, 2)) * rng.uniform(0.5, 3.0)
-        _, r = min_enclosing_circle(pts)
-        assert r == pytest.approx(naive_enclosing_circle(pts), rel=1e-9)
-
-
 def test_chebyshev_matches_dual_oracle():
     rng = np.random.default_rng(7)
     for seed in range(6):
@@ -205,12 +197,35 @@ def test_outer_radius_sphere_slices():
     assert geometry.outer_radius(round_sphere(r=2.0)) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_outer_radius_matches_naive_circle():
-    for seed in (1, 5, 9):
+def test_outer_radius_lies_between_half_widths_and_the_boundary_circle():
+    # any centre is at least the half-width (h_j + h at the antipode)/2 from
+    # one of two opposite support planes; and each sampled plane touches the
+    # boundary at its contact point, so the circle holding those points holds
+    # every sampled plane
+    def half_widths(body):
+        h = body.h
+        return (h + np.roll(h, len(h) // 2) if body.mode == "curve" else h + h[::-1]) / 2.0
+
+    curves = [bodies.random_convex_curve(96, seed=s, amplitude=0.25 + 0.65 * (s % 10) / 10.0)
+              for s in range(40)]
+    profiles = [bodies.random_convex_profile(2, 64, seed=s, amplitude=0.25 + 0.65 * (s % 8) / 8.0)
+                for s in range(20)]
+    for body in curves + profiles:
+        rho_plus = geometry.outer_radius(body)
+        assert float(np.max(half_widths(body))) <= rho_plus * (1.0 + 1e-12)
+    for seed in (1, 5, 9):  # the naive circle tries every triple of points
         body = bodies.random_convex_curve(48, seed=seed)
-        pts = body.boundary_points()
-        assert geometry.outer_radius(body) == pytest.approx(
-            naive_enclosing_circle(pts), rel=1e-7)
+        assert geometry.outer_radius(body) <= (
+            naive_enclosing_circle(body.boundary_points()) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("t", [-50.0, -20.0, -11.74, -2.0])
+def test_oval_outer_radius_is_its_closed_form(t):
+    # the oval's farthest points from its centre are the tips of its long
+    # axis, at sample angles, where the support value is arccosh(e^-t); an
+    # underresolved interpolant must not move it
+    rho_plus = geometry.measure(exact.angenent_oval_slice(t, 128)).rho_plus
+    assert rho_plus == pytest.approx(math.acosh(math.exp(-t)), rel=1e-9, abs=0.0)
 
 
 def test_inner_radius_sphere_slices():

@@ -6,9 +6,9 @@ A change that moves an output fails here until the table is rewritten with
 ``PYTHONPATH=src python tests/golden_corpus.py``, which a change that means to
 move an output does in the same commit, naming the cases that moved.  Under an
 environment other than the table's (numpy version, Python, system, machine,
-libc, numpy's SIMD dispatch level), where numpy may round differently, moved
-outputs are reported as a skip that names both environments; under the
-table's environment they fail.
+libc, numpy's SIMD dispatch level, OpenBLAS's kernel family), where numpy may
+round differently, moved outputs are reported as a skip that names both
+environments; under the table's environment they fail.
 """
 
 import json
@@ -73,3 +73,18 @@ def test_the_environment_names_the_simd_level():
                            "print(golden_corpus.simd_level())"],
                           env=env, capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.strip() == "X86_V3"
+
+
+def test_the_environment_names_the_blas_core():
+    # OpenBLAS's kernels for another core round some outputs differently: a
+    # process on another core must not read as the table's environment
+    assert golden_corpus.environment()["blas_core"] == golden_corpus.blas_core()
+    if golden_corpus.blas_core() is None or "OPENBLAS_CORETYPE" in os.environ:
+        pytest.skip("no bundled OpenBLAS names its core, or the core is already forced")
+    paths = [pathlib.Path(m.__file__).resolve().parent for m in (golden_corpus, mcfflow)]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([str(paths[0]), str(paths[1].parent)]))
+    done = subprocess.run([sys.executable, "-c", "import golden_corpus; "
+                           "print(golden_corpus.blas_core())"],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() not in ("", "None", golden_corpus.blas_core())

@@ -1,4 +1,5 @@
-"""The dual-simplex Chebyshev centres against a scalar Seidel LP.
+"""The dual-simplex Chebyshev centres against a scalar Seidel LP, and the
+refusals the inscribed and the enclosing balls share.
 
 The reference below is the randomized incremental LP (Seidel 1991) that
 computed Chebyshev centres before the dual simplex replaced it: one Python
@@ -104,6 +105,15 @@ def _chebyshev(mode, h):
     return np.array([a]), r
 
 
+def _enclosing(mode, h):
+    """(c, R) from the public enclosing-ball solver for this mode."""
+    A = _solvers.constraint_matrix(_rows(mode, len(h)))
+    if mode == "curve":
+        return _solvers.min_enclosing_circle(A, h)
+    a, r = _solvers.axis_enclosing_ball(A, h)
+    return np.array([a]), r
+
+
 def _cases():
     """(mode, h) pairs: the criterion-3 pool moved off-centre, finer and
     elongated curves, round bodies and stadiums with a segment of optima."""
@@ -140,8 +150,11 @@ def test_chebyshev_centres_match_scalar_lp():
     (np.where(np.arange(33) == 5, math.nan, 1.0), "non-finite"),
 ], ids=["empty", "nan"])
 def test_infeasible_bodies_raise(mode, h, message):
-    with pytest.raises(InfeasibleError, match=message):
-        _chebyshev(mode, h)
+    # the enclosing ball of support values that hold no body has a negative
+    # radius, refused as the inscribed ball's is
+    for solve in (_chebyshev, _enclosing):
+        with pytest.raises(InfeasibleError, match=message):
+            solve(mode, h)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -153,8 +166,9 @@ def test_chebyshev_center_curve_refuses_non_finite_normals(bad, component):
     body = bodies.random_convex_curve(32, 1)
     nu = body.normals().copy()
     nu[5, component] = bad
-    with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 5$"):
-        _solvers.chebyshev_center_curve(_solvers.constraint_matrix(nu), body.h)
+    for solve in (_solvers.chebyshev_center_curve, _solvers.min_enclosing_circle):
+        with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 5$"):
+            solve(_solvers.constraint_matrix(nu), body.h)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -162,5 +176,6 @@ def test_chebyshev_center_axis_refuses_non_finite_normals(bad):
     body = bodies.random_convex_profile(2, 32, 1)
     cosphi = np.cos(body.angles())
     cosphi[7] = bad
-    with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 7$"):
-        _solvers.chebyshev_center_axis(_solvers.constraint_matrix(cosphi), body.h)
+    for solve in (_solvers.chebyshev_center_axis, _solvers.axis_enclosing_ball):
+        with pytest.raises(InfeasibleError, match=r"^non-finite normal in row 7$"):
+            solve(_solvers.constraint_matrix(cosphi), body.h)

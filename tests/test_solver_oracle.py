@@ -1,20 +1,15 @@
-"""The two small solvers against frozen copies that ran every scalar through
+"""The dual simplex against a frozen copy that ran every scalar through
 numpy, bit for bit.
 
-The oracles in `oracles.py` are the minimum enclosing circle and the dual
-simplex as they were written before their scalar work moved onto Python
-floats: one `np.hypot` call per distance, one containment test per point and
-candidate, an array ratio test.  On every input below both sides must return
-results whose floats have the same repr, or raise the same exception type with
-the same message.  The point sets are chosen for the branches where a change
-of candidate order, tie rule or pruning would show: duplicate and collinear
-points (a triple with no circumcentre), cocircular points (equal radii to the
-last bits), the mirrored sets of `axis_enclosing_ball`, and scales from 1e-150
-to 1e150.  The simplex gets round bodies and polygons as well as random ones,
-where many rows are active at once and ratios tie, and sequences: the
-consecutive slices of one flow, whose pivots reuse the basis inverses the
-slice before left in the simplex's memo, and independent bodies solved
-after the memo is emptied, whose pivots invert every basis afresh.
+The oracle in `oracles.py` is the dual simplex as it was written before its
+scalar work moved onto Python floats: an array ratio test.  On every input
+below both sides must return results whose floats have the same repr, or
+raise the same exception type with the same message.  The simplex gets round
+bodies and polygons as well as random ones, where many rows are active at
+once and ratios tie, and sequences: the consecutive slices of one flow, whose
+pivots reuse the basis inverses the slice before left in the simplex's memo,
+and independent bodies solved after the memo is emptied, whose pivots invert
+every basis afresh.
 """
 
 import math
@@ -31,7 +26,6 @@ from mcfflow.bodies import MODE_AXISYM, MODE_CURVE
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 UNIT = st.floats(-1.0, 1.0)
-SCALE = st.integers(-150, 150).map(lambda e: 10.0 ** e)
 
 
 def _outcome(fn, *args):
@@ -42,89 +36,6 @@ def _outcome(fn, *args):
     except Exception as err:  # noqa: BLE001 - the exception is the outcome
         return type(err), str(err)
     return repr([v.tolist() if isinstance(v, np.ndarray) else float(v) for v in out])
-
-
-# ---------------------------------------------------------------------------
-# minimum enclosing circle
-# ---------------------------------------------------------------------------
-
-CLOUDS = st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=40)
-# small integer grids: duplicates, collinear triples and cocircular quadruples
-GRIDS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=30)
-
-
-@st.composite
-def collinear(draw):
-    t = np.array(draw(st.lists(UNIT, min_size=1, max_size=20)))
-    (ax, ay), (ox, oy) = draw(st.tuples(UNIT, UNIT)), draw(st.tuples(UNIT, UNIT))
-    return np.column_stack([ox + t * ax, oy + t * ay])
-
-
-@st.composite
-def polygons(draw):
-    # a regular k-gon, sometimes with points inside it
-    k = draw(st.integers(3, 16))
-    phase, radius = draw(UNIT), draw(st.floats(0.1, 1.0))
-    t = phase + 2.0 * math.pi * np.arange(k) / k
-    ring = np.column_stack([radius * np.cos(t), radius * np.sin(t)])
-    inner = np.array(draw(st.lists(st.tuples(UNIT, UNIT), max_size=5)), dtype=float)
-    return np.concatenate([ring, 0.5 * radius * inner.reshape(-1, 2)])
-
-
-POINT_SETS = st.one_of(CLOUDS.map(np.array), GRIDS.map(lambda p: np.array(p, dtype=float)),
-                       collinear(), polygons())
-
-
-def _cover(smallest_cover, pts):
-    """smallest_cover of the points as (support, circle) in Python floats."""
-    found = smallest_cover([tuple(p) for p in pts])
-    if found is None:
-        return None
-    support, circle = found
-    return [tuple(map(float, p)) for p in support], tuple(map(float, circle))
-
-
-@PROPERTY
-@given(POINT_SETS, SCALE, st.tuples(UNIT, UNIT), st.integers(2, 4))
-def test_support_update_equals_the_oracle(pts, scale, shift, size):
-    # one support update on 2 to 4 of the points, reachable or not: a change
-    # of candidate order or tie rule shows here on ties the iteration rarely meets
-    pts = ((pts[:size] + np.array(shift)) * scale).tolist()
-    if len(pts) < 2:
-        pts = pts * 2
-    with np.errstate(all="ignore"):
-        assert _cover(_solvers._smallest_cover, pts) == _cover(oracles._smallest_cover,
-                                                               np.array(pts))
-
-
-@PROPERTY
-@given(POINT_SETS, SCALE, st.tuples(UNIT, UNIT))
-def test_enclosing_circle_equals_the_oracle(pts, scale, shift):
-    pts = (pts + np.array(shift)) * scale
-    assert _outcome(_solvers._enclosing_circle, pts) == _outcome(oracles.enclosing_circle, pts)
-
-
-def _oracle_axis_ball(x, rsq):
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.asarray(rsq, dtype=float))
-    c = oracles.enclosing_circle(np.column_stack([np.concatenate([x, x]),
-                                                  np.concatenate([r, -r])]))
-    return float(c[0]), float(c[2])
-
-
-@PROPERTY
-@given(st.lists(st.tuples(UNIT, st.floats(0.0, 1.0)), min_size=1, max_size=30), SCALE)
-def test_axis_enclosing_ball_equals_the_oracle(orbits, scale):
-    x = [scale * a for a, _ in orbits]
-    rsq = [(scale * r) ** 2 for _, r in orbits]
-    assert (_outcome(_solvers.axis_enclosing_ball, x, rsq)
-            == _outcome(_oracle_axis_ball, x, rsq))
-
-
-def test_enclosing_circle_bad_input_matches_the_oracle():
-    for pts in (np.zeros((0, 2)), np.zeros(3), [[0.0, math.nan]], [[1.0, 2.0], [math.inf, 0.0]]):
-        assert (_outcome(_solvers._enclosing_circle, pts)
-                == _outcome(oracles.enclosing_circle, pts))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ cannot witness t -> -infinity, so verdicts follow an explicit rule: margins
 are indexed by -t (looking backward in time); a series is BoundedInWindow
 when the sup over the earliest decade of -t exceeds the sup over the most
 recent decade by less than 10% and the log-log slope stays under 0.25,
-GrowingTrend otherwise, and Violated when a configured hard cap is passed.
-Thresholds are explicit and configurable.  ``VerdictRule.entry`` is the one
-place where a margin series gets its sup, log-log slope and verdict.
+GrowingTrend otherwise, and Violated when a hard cap set on the
+``VerdictRule`` is passed.  The thresholds are the module constants
+GROWTH_RATIO and SLOPE_THRESHOLD.  ``VerdictRule.entry`` is the one place
+where a margin series gets its sup, log-log slope and verdict.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ GROWING = "GrowingTrend"
 VIOLATED = "Violated"
 NOT_APPLICABLE = "NotApplicable"
 
+GROWTH_RATIO = 1.10     # early-decade sup vs recent-decade sup
+SLOPE_THRESHOLD = 0.25  # log margin vs log(-t)
+
 
 @dataclass(eq=False)
 class ConditionEntry:
@@ -69,8 +73,6 @@ class ConditionEntry:
 
 @dataclass(frozen=True)
 class VerdictRule:
-    growth_ratio: float = 1.10       # early-decade sup vs recent-decade sup
-    slope_threshold: float = 0.25    # log margin vs log(-t)
     hard_caps: dict = field(default_factory=dict)
 
     def entry(self, key, times, values):
@@ -86,9 +88,9 @@ class VerdictRule:
         early = values[neg_t >= np.max(neg_t) / 10.0]
         if cap is not None and sup > cap:
             verdict = VIOLATED
-        elif slope >= self.slope_threshold:
+        elif slope >= SLOPE_THRESHOLD:
             verdict = GROWING
-        elif np.max(recent) <= self.growth_ratio * np.max(early):
+        elif np.max(recent) <= GROWTH_RATIO * np.max(early):
             verdict = BOUNDED
         else:
             verdict = GROWING
@@ -110,13 +112,12 @@ class ConditionReport:
     conditions: dict
     sphericity_times: np.ndarray
     sphericity_f0_max: np.ndarray
-    rescale: dict = field(default_factory=dict)
 
     def verdict(self, key):
         return self.conditions[key].verdict
 
     def payload(self):
-        out = {
+        return {
             "window": list(self.window),
             "n": self.n,
             "conditions": {k: v.payload() for k, v in self.conditions.items()},
@@ -125,9 +126,6 @@ class ConditionReport:
                 "f0_max": list(self.sphericity_f0_max),
             },
         }
-        if self.rescale:
-            out["rescale"] = dict(self.rescale)
-        return out
 
 
 def _require_two_decades(traj):
@@ -167,21 +165,18 @@ def check_conditions(traj, rule=None):
 # pinched-flow decay: monotone Lp integrals and the integral envelope
 # ---------------------------------------------------------------------------
 
-def feasible_sigma_p(eps, n, safety=1.10):
+def feasible_sigma_p(eps, n):
     """A (sigma, p) pair satisfying all admissibility gates for pinching eps.
 
     Gates: p >= 100/eps^2, sigma <= n eps^3 / (16 sqrt(p)), and p sigma > n;
     the last two are compatible only for p > 256/eps^6, which fixes the
-    scale of p.
+    scale of p.  Taking p >= 1.1 * 256/eps^6 gives p sigma >= 0.999 sqrt(1.1) n,
+    about 1.048 n.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    p = math.ceil(max(100.0 / eps ** 2, safety * 256.0 / eps ** 6))
-    sigma = 0.999 * n * eps ** 3 / (16.0 * math.sqrt(p))
-    if p * sigma <= n:
-        raise ParameterGateViolatedError("no admissible sigma at this p; "
-                                         "increase the safety factor")
-    return sigma, p
+    p = math.ceil(max(100.0 / eps ** 2, 1.1 * 256.0 / eps ** 6))
+    return 0.999 * n * eps ** 3 / (16.0 * math.sqrt(p)), p
 
 
 def _check_gates(eps, n, sigma, p):
@@ -214,12 +209,13 @@ class PinchingDecayReport:
         return float(np.max(self.pair_slack)) if len(self.pair_slack) else 0.0
 
 
-def pinching_decay_check(traj, sigma, p, slack_tol=0.01):
+def pinching_decay_check(traj, sigma, p):
     """Discrete decay of int f_sigma^p dmu along a uniformly pinched flow.
 
     Verifies, per adjacent snapshot pair and in log space,
         d/dt log int f^p dmu  <=  -p sigma <H^2>_w + slack,
-    where <H^2>_w is the f^p dmu weighted mean, and fits the envelope
+    where <H^2>_w is the f^p dmu weighted mean (monotone_ok: every pair's
+    relative slack is at most 1%), and fits the envelope
     constant c3 such that (int f^p dmu)^(2/(sigma p)) <=
     c3 / (|T0|^(1-n/(sigma p)) - |t|^(1-n/(sigma p))) across the window.
     Also reports the fitted area-bound constant sup |M_t| / (-t)^(n/2).
@@ -270,7 +266,7 @@ def pinching_decay_check(traj, sigma, p, slack_tol=0.01):
     c_area = float(np.max(areas / (-ts) ** (n / 2.0)))
     return PinchingDecayReport(eps=eps, sigma=sigma, p=p, times=ts,
                                log_phi=log_phi, pair_slack=slacks,
-                               monotone_ok=bool(np.all(slacks <= slack_tol)),
+                               monotone_ok=bool(np.all(slacks <= 0.01)),
                                envelope_log_c3=log_c3, area_bound_c=c_area)
 
 
@@ -291,15 +287,16 @@ class DiameterCurvatureReport:
     c_measured: float
 
 
-def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
+def diameter_curvature_check(traj):
     """Check the diameter bound and the two-sided curvature bound together.
 
     Bounded diameter growth and bounded sqrt(-t) H from both sides are
     equivalent; the report carries both margin series, their verdicts, and
     the quantitative Harnack transfer max H(t) <= e^(c^2/2) min H(t/2) with
-    c the measured sup of diam_I / sqrt(-t).
+    c the measured sup of diam_I / sqrt(-t), over the slices that have one
+    within 2% of t/2.
     """
-    rule = rule or VerdictRule()
+    rule = VerdictRule()
     _require_two_decades(traj)
     if traj.engine == "cap":
         raise TypeError("diameter and curvature decay apply to Euclidean trajectories")
@@ -319,7 +316,7 @@ def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
     for i, t in enumerate(ts):
         target = t / 2.0
         j = int(np.argmin(np.abs(ts - target)))
-        if abs(ts[j] - target) > pair_rtol * abs(target):
+        if abs(ts[j] - target) > 0.02 * abs(target):
             continue
         transfer = max(transfer, s["maxH"][i] / (math.exp(c * c / 2.0) * s["minH"][j]))
     return DiameterCurvatureReport(
@@ -337,12 +334,10 @@ def diameter_curvature_check(traj, rule=None, pair_rtol=0.02):
 class RescaledFlow(Trajectory):
     """A type-II rescaled flow: its slices carry tau times and filled curvature
     caches.  To a Trajectory it adds the anchor time t_k and scale L_k, the
-    base sample index p_index of the curvature max, the marked sample index
-    and normal angle after rescaling, and type1_flag (sqrt(-t) max H varies
-    by under 10% over the window)."""
+    marked sample index and normal angle after rescaling, and type1_flag
+    (sqrt(-t) max H varies by under 10% over the window)."""
     t_k: float
     L_k: float
-    p_index: int
     marked_index: int
     marked_theta: float
     type1_flag: bool
@@ -419,7 +414,7 @@ def type_two_rescale(traj, window):
         out.append(TimeSlice(tau if tau != 0.0 else 0.0, new_body, shift))
     # tau times of a rescaled ancient flow are strictly increasing already
     return RescaledFlow(slices=out, meta={"engine": f"rescaled:{traj.engine}"}, t_k=t_k,
-                        L_k=L_k, p_index=j_k, marked_index=marked_index,
+                        L_k=L_k, marked_index=marked_index,
                         marked_theta=marked_theta, type1_flag=type1)
 
 
@@ -446,16 +441,15 @@ class SolitonFit:
     V: tuple
     residual: float
     tau: float
-    cap_halfwidth: float
 
 
-def soliton_proximity(rescaled, cap_halfwidth=1.2):
+def soliton_proximity(rescaled):
     """Translating-soliton signature of a rescaled flow near tau = 0.
 
     Fits a constant vector V minimizing the weighted misfit of H = <V, nu>
-    over the normal-angle cap around the marked point of the slice nearest
-    tau = 0; a small residual is the quantitative stand-in for convergence
-    to a translating solution.
+    over the normal angles within 1.2 of the marked point's, on the slice
+    nearest tau = 0; a small residual is the quantitative stand-in for
+    convergence to a translating solution.
     """
     if len(rescaled.slices) < 3:
         raise ValueError("need at least 3 rescaled slices near tau = 0")
@@ -467,10 +461,9 @@ def soliton_proximity(rescaled, cap_halfwidth=1.2):
     ang = body.angles()
     dist = np.abs(np.remainder(ang - rescaled.marked_theta + math.pi,
                                2.0 * math.pi) - math.pi)
-    mask = dist <= cap_halfwidth
+    mask = dist <= 1.2
     V, res = fit_translation(fld.H[mask], fld.nu[mask], fld.dmu[mask])
-    return SolitonFit(V=tuple(V), residual=res, tau=float(taus[i0]),
-                      cap_halfwidth=cap_halfwidth)
+    return SolitonFit(V=tuple(V), residual=res, tau=float(taus[i0]))
 
 
 # ---------------------------------------------------------------------------

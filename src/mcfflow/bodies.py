@@ -374,9 +374,9 @@ class _TrigInterp:
 class SupportProfile:
     """Sampled support function of a convex body; see module docstring.
 
-    Treated as immutable: values derived from ``h`` (interpolant, boundary
-    points, ``geometry.measure``, ``diagnostics.curvature_field``) are cached
-    in ``_cache`` on first use.  To change ``h``, build a new body
+    Treated as immutable: values derived from ``h`` (interpolant,
+    ``geometry.measure``, ``diagnostics.curvature_field``) are cached in
+    ``_cache`` on first use.  To change ``h``, build a new body
     (``with_values``) instead of editing it in place.
     """
 
@@ -483,14 +483,10 @@ class SupportProfile:
         flat sides (the points stay within the interpolation error of the
         true boundary).
         """
-        pts = self._cache.get("boundary")
-        if pts is None:
-            interp = self.interpolator()
-            hp = interp.grid_derivative(interp.N)[:len(self.h)]
-            ca, sa = self.plan.cos, self.plan.sin
-            pts = np.column_stack([self.h * ca - hp * sa, self.h * sa + hp * ca])
-            self._cache["boundary"] = pts
-        return pts
+        interp = self.interpolator()
+        hp = interp.grid_derivative(interp.N)[:len(self.h)]
+        ca, sa = self.plan.cos, self.plan.sin
+        return np.column_stack([self.h * ca - hp * sa, self.h * sa + hp * ca])
 
     # -- constructors and transforms --------------------------------------
 

@@ -156,6 +156,8 @@ def _cmd_run(args):
                           n=cfg["n"], t_stop=cfg.get("t_stop"))
         seed = None
     else:
+        if "cap" in cfg:  # unread here, so its values would go unchecked
+            raise ValueError(f"a {cfg['engine']} run takes no 'cap' block")
         body, seed = _initial_from_config(cfg, args.seed)
         if (cfg["engine"] == "curve") != (body.mode == "curve"):
             raise ValueError("engine does not match the initial body mode")

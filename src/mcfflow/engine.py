@@ -88,6 +88,8 @@ class StepFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowControls:
+    """The run bounds, stated only here: a run config's controls are checked
+    by this constructor, not by its schema."""
     cfl: float = 0.2
     max_dt: float = 1e-2
     stop_rho_plus: float = 0.1
@@ -95,11 +97,13 @@ class FlowControls:
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
-            raise ValueError("cfl must lie in (0, 0.5]")
-        if not self.stop_rho_plus > 0.0:
-            raise ValueError("stop_rho_plus must be positive")
-        if not self.max_dt > 0.0 or self.snapshot_stride < 1:
-            raise ValueError("bad controls")
+            raise ValueError(f"cfl must lie in (0, 0.5], not {self.cfl!r}")
+        for name in ("max_dt", "stop_rho_plus"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+        stride = self.snapshot_stride
+        if not (stride >= 1 and float(stride).is_integer()):
+            raise ValueError(f"snapshot_stride must be a positive integer, not {stride!r}")
 
 
 @dataclass(eq=False)

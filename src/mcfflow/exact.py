@@ -222,8 +222,9 @@ def equator_slice(R, n):
 # flow residual: |V_normal + H| certifies that a family solves the flow
 # ---------------------------------------------------------------------------
 
-def flow_residual(family, t, sample_count=64, dt=None, analytic_velocity=False):
-    """Max over samples of |V_normal + H|.
+def flow_residual(family, t, dt=None, analytic_velocity=False):
+    """Max over samples of |V_normal + H|: 64 of them on an oval or a grim
+    reaper, every grid node of a Trajectory's slice.
 
     For exact families V_normal is the central time difference of the support
     function at fixed normal direction (exactly the normal velocity), so the
@@ -252,7 +253,7 @@ def flow_residual(family, t, sample_count=64, dt=None, analytic_velocity=False):
                  - cap_radius(family.R, family.n, t - dt)) / (2.0 * dt)
         return abs(v + H)
     if kind == "grim-reaper":
-        x = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, sample_count)
+        x = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 64)
         _, kappa = grim_reaper_profile(x, t)
         # vertical translation at unit speed: outward-normal velocity -cos x
         if analytic_velocity:
@@ -271,7 +272,7 @@ def flow_residual(family, t, sample_count=64, dt=None, analytic_velocity=False):
             v = (sphere_radius(family.n, t + dt) - sphere_radius(family.n, t - dt)) / (2.0 * dt)
         return abs(v + H)
     if kind == "oval":
-        theta = np.arange(sample_count) * (2.0 * math.pi / sample_count)
+        theta = sample_angles(MODE_CURVE, 64)
         H = oval_curvature_values(t, theta)
         v = (oval_support_values(t + dt, theta)
              - oval_support_values(t - dt, theta)) / (2.0 * dt)
@@ -302,14 +303,11 @@ def _absolute_support(sl):
     return body.h + shift_support(body.mode, body.h, sl.shift)
 
 
-def residual_convergence_order(family, t, sample_count=64, dt0=None, levels=3):
-    """Fit the convergence order of flow_residual under time-step halving."""
-    if dt0 is None:
-        dt0 = 1e-2 * max(1.0, abs(t))
-    res = []
-    for j in range(levels):
-        res.append(flow_residual(family, t, sample_count, dt=dt0 / 2 ** j))
-    res = np.asarray(res)
+def residual_convergence_order(family, t):
+    """Fit the convergence order of flow_residual over three time steps,
+    1e-2 max(1, |t|) halved twice."""
+    dt0 = 1e-2 * max(1.0, abs(t))
+    res = np.array([flow_residual(family, t, dt=dt0 / 2 ** j) for j in range(3)])
     if np.max(res) <= 1e-12 * max(1.0, abs(t)):
         return math.inf, res  # already at the roundoff floor
     orders = np.log2(res[:-1] / res[1:])

@@ -413,17 +413,16 @@ def measure(body):
     return m
 
 
-def hausdorff_distance(body_a, body_b, recenter=True):
-    """Hausdorff distance between two convex bodies of the same mode.
+def hausdorff_distance(body_a, body_b):
+    """Hausdorff distance between the shapes of two convex bodies of the same
+    mode and grid.
 
-    For convex bodies this equals the sup-norm distance of the support
-    functions, evaluated on the common grid.  By default both bodies are
-    recentered at their Chebyshev centers first (shape comparison).
+    Both bodies are recentered at their Chebyshev centers first; for convex
+    bodies the distance is then the sup-norm distance of the support
+    functions, evaluated on the common grid.
     """
     if body_a.mode != body_b.mode or body_a.N != body_b.N:
         raise ValueError("bodies must share mode and grid")
-    ha, hb = body_a.h, body_b.h
-    if recenter:
-        ha, _ = recentre(body_a.mode, ha)
-        hb, _ = recentre(body_b.mode, hb)
+    ha, _ = recentre(body_a.mode, body_a.h)
+    hb, _ = recentre(body_b.mode, body_b.h)
     return float(np.max(np.abs(ha - hb)))

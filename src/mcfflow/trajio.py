@@ -319,24 +319,18 @@ CONFIG_SCHEMA = {
         "N": {"type": "integer", "minimum": 16, "maximum": MAX_GRID},
         "t0": {"type": "number", "exclusiveMaximum": 0},
         "t_stop": {"type": "number"},
+        # FlowControls and CapState refuse an out-of-range control or cap
         "controls": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-                "max_dt": {"type": "number", "exclusiveMinimum": 0},
-                "stop_rho_plus": {"type": "number", "exclusiveMinimum": 0},
-                "snapshot_stride": {"type": "integer", "minimum": 1},
-            },
+            "properties": {f.name: {"type": {"int": "integer", "float": "number"}[f.type]}
+                           for f in dataclasses.fields(FlowControls)},
         },
         "cap": {
             "type": "object",
             "additionalProperties": False,
             "required": ["R", "rho0"],
-            "properties": {
-                "R": {"type": "number", "exclusiveMinimum": 0},
-                "rho0": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {"R": {"type": "number"}, "rho0": {"type": "number"}},
         },
         "initial": {
             "type": "object",

@@ -68,6 +68,13 @@ CASES = {
     "rescale": (["rescale", "--traj", "{out}/rescale.jsonl", "--window", "50",
                  "--out", "{out}/rescaled.jsonl", "--report", "{out}/rescale-report.json"],
                 ("rescaled.jsonl", "rescale-report.json")),
+    "exact-sphere": (["exact", "--family", "sphere", "--n", "2", "--t", "-1",
+                      "--resolution", "64", "--out", "{out}/sphere.jsonl"], "sphere.jsonl"),
+    "exact-cylinder": (["exact", "--family", "cylinder", "--n", "3", "--k", "1", "--t", "-1",
+                        "--out", "{out}/cylinder.json"], "cylinder.json"),
+    # the deficit f_sigma at another sigma and its L^p norm at another p
+    "diagnose-sigma": (["diagnose", "--traj", "{out}/sphere2.jsonl", "--sigma", "0.1",
+                        "--p", "3", "--out", "{out}/diagnose-sigma.csv"], "diagnose-sigma.csv"),
 }
 
 

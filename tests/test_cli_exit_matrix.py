@@ -473,6 +473,42 @@ def test_oversized_grids_are_bad_input(tmp_path, edit, capsys):
     assert "greater than the maximum" in capsys.readouterr().err
 
 
+# a cap run's config with one control or cap value out of range, and the
+# control's name; FlowControls and CapState refuse them, the schema checks
+# only their types
+OUT_OF_RANGE = {
+    "cfl": ({"controls": {"cfl": 0.9}}, "cfl must lie in (0, 0.5]"),
+    "max_dt": ({"controls": {"max_dt": -1}}, "max_dt must be positive"),
+    "stop_rho_plus": ({"controls": {"stop_rho_plus": 0}}, "stop_rho_plus must be positive"),
+    "snapshot_stride": ({"controls": {"snapshot_stride": 0}},
+                        "snapshot_stride must be a positive integer"),
+    "cap.R": ({"cap": {"R": -1, "rho0": 1.0}}, None),
+    "cap.rho0": ({"cap": {"R": 3.0, "rho0": 0}}, None),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_out_of_range_controls_and_caps_are_bad_input(tmp_path, name, capsys):
+    edit, message = OUT_OF_RANGE[name]
+    cfg, out = tmp_path / "cap.json", tmp_path / "o.jsonl"
+    cfg.write_text(json.dumps({"engine": "cap", "n": 2, "t0": -5.0,
+                               "cap": {"R": 3.0, "rho0": 1.0}, **edit}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mcfflow: ") and "Traceback" not in err
+    assert message is None or message in err
+    assert not out.exists()
+
+
+def test_curve_config_with_a_cap_block_is_bad_input(tmp_path, capsys):
+    # a curve run never reads its cap block, so an out-of-range R ran
+    cfg, out = tmp_path / "curve.json", tmp_path / "o.jsonl"
+    cfg.write_text(json.dumps({**_small_run(n=1, seed=3), "cap": {"R": -1, "rho0": 1.0}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "a curve run takes no 'cap' block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("names", [("family", "random"), ("file", "family"),
                                    ("file", "random"), ("file", "family", "random")],
                          ids="+".join)

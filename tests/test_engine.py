@@ -13,12 +13,16 @@ def test_controls_validation():
         engine.FlowControls(cfl=0.9)
     with pytest.raises(ValueError):
         engine.FlowControls(stop_rho_plus=-1.0)
+    for stride in (2.5, math.inf, 0):
+        with pytest.raises(ValueError, match="^snapshot_stride must be a positive integer"):
+            engine.FlowControls(snapshot_stride=stride)
 
 
-@pytest.mark.parametrize("field", ["cfl", "max_dt", "stop_rho_plus"])
+@pytest.mark.parametrize("field", ["cfl", "max_dt", "stop_rho_plus", "snapshot_stride"])
 def test_controls_refuse_nan(field):
-    # a NaN stop threshold is never met, and NaN steps are accepted
-    with pytest.raises(ValueError):
+    # a NaN stop threshold is never met, and NaN steps are accepted; with a
+    # NaN stride no snapshot is taken, so stop_rho_plus is never tested
+    with pytest.raises(ValueError, match=f"^{field} must"):
         engine.FlowControls(**{field: math.nan})
 
 

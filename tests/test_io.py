@@ -64,6 +64,11 @@ def test_controls_fields_payload_and_schema_agree(tmp_path):
     # a control must be settable, written and read in all three places
     names = {f.name for f in dataclasses.fields(engine.FlowControls)}
     assert set(trajio.CONFIG_SCHEMA["properties"]["controls"]["properties"]) == names
+    # FlowControls and CapState state the bounds of the controls and the cap;
+    # the schema checks their types only
+    for block in ("controls", "cap"):
+        for name, leaf in trajio.CONFIG_SCHEMA["properties"][block]["properties"].items():
+            assert not leaf.keys() & set(BOUND_KEYWORDS), (block, name)
     # a run's controls, each away from its default, through config and header
     controls = {"cfl": 0.3, "max_dt": 0.05, "stop_rho_plus": 0.2, "snapshot_stride": 4}
     assert all(getattr(engine.FlowControls(), k) != v for k, v in controls.items())
